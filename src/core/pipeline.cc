@@ -246,6 +246,23 @@ Pipeline::unpark(InFlightInst *inst)
 }
 
 void
+Pipeline::restoreFullScan()
+{
+    dispatched_.clear();
+    for (InFlightInst &inst : rob_) {
+        if (inst.state != InstState::Dispatched)
+            continue;
+        dispatched_.push_back(&inst);
+        // Every waiter list hangs off the dest tag of a Dispatched
+        // producer, so this empties them all.
+        if (inst.hasDest())
+            tagInfo(inst.destTag, inst.destIsFp).waiters = nullptr;
+    }
+    parked_.clear();
+    waiting_ = 0;
+}
+
+void
 Pipeline::doIssue(Cycle cur)
 {
     unsigned budget = params_.issueWidth;
@@ -258,28 +275,25 @@ Pipeline::doIssue(Cycle cur)
     bool stall_int_writers = intRf_->shouldStallIssue();
     bool long_stall_seen = false;
 
-    if (!parked_.empty()) {
-        if (stall_int_writers) {
-            // The Long issue-stall path inspects every dispatched
-            // instruction (long_stall_seen): restore the full scan.
-            for (auto &entry : parked_)
-                unpark(entry.second);
-            parked_.clear();
-        } else {
-            while (!parked_.empty() && parked_.front().first <= cur) {
-                unpark(parked_.front().second);
-                std::pop_heap(parked_.begin(), parked_.end(),
-                              ParkOrder{});
-                parked_.pop_back();
-            }
+    if (stall_int_writers) {
+        // The Long issue-stall path inspects every dispatched
+        // instruction (long_stall_seen): restore the full scan.
+        if (!parked_.empty() || waiting_ != 0)
+            restoreFullScan();
+    } else {
+        while (!parked_.empty() && parked_.front().first <= cur) {
+            unpark(parked_.front().second);
+            std::pop_heap(parked_.begin(), parked_.end(), ParkOrder{});
+            parked_.pop_back();
         }
     }
 
     Cycle exec = cur + params_.regReadStages;
 
-    // dispatched_ is the Dispatched subset of the ROB in age order:
-    // same candidates, same order, same arbitration decisions as the
-    // full-ROB scan, without touching issued/completed entries.
+    // dispatched_ is the Dispatched subset of the ROB in age order,
+    // less instructions whose check cannot pass this cycle: same
+    // arbitration decisions as the full-ROB scan, without touching
+    // issued/completed or provably blocked entries.
     size_t scan = 0;
     size_t keep = 0;
     for (; scan < dispatched_.size() && budget > 0; ++scan) {
@@ -287,8 +301,6 @@ Pipeline::doIssue(Cycle cur)
         // Assume the instruction stays dispatched; the issue path at
         // the bottom un-keeps it.
         dispatched_[keep++] = &inst;
-        if (inst.renameCycle >= cur)
-            continue; // renamed this very cycle
 
         bool fpq = usesFpQueue(inst.op.op);
         bool is_load = inst.op.isLoad();
@@ -315,20 +327,19 @@ Pipeline::doIssue(Cycle cur)
 
         OperandSource so1 = OperandSource::None;
         OperandSource so2 = OperandSource::None;
-        // First cycle the failed check below could pass again; cur+1
-        // when the producer's timing is not yet pinned down.
+        // Why the check below failed: the producer tag that has not
+        // issued yet, or else the first cycle the check could pass
+        // again (cur+1 when the timing is not yet pinned down).
+        TagInfo *unissued = nullptr;
         Cycle retry = 0;
         auto check_src = [&](const SourceView &s, OperandSource &out) {
             if (!s.used) {
                 out = OperandSource::None;
                 return true;
             }
-            const TagInfo &ti = tagInfo(s.tag, s.isFp);
+            TagInfo &ti = tagInfo(s.tag, s.isFp);
             if (ti.state == TagInfo::State::Pending) {
-                // The producer has not issued; it cannot do so before
-                // its own parked bound, and the value stays
-                // unavailable until the check after it does.
-                retry = std::max(cur + 1, ti.earliestIssue);
+                unissued = &ti;
                 return false;
             }
             if (exec < ti.completeCycle) {
@@ -358,19 +369,22 @@ Pipeline::doIssue(Cycle cur)
             return true;
         };
         if (!check_src(s1, so1) || !check_src(s2, so2)) {
-            if (!stall_int_writers && retry > cur + parkThreshold) {
-                // The check cannot pass before `retry`: park the
-                // instruction out of the scan until then, and let its
-                // consumers bound themselves against it. Skipped in
-                // stall cycles so long_stall_seen stays exact.
+            // Leave the scan while the check cannot pass (not in stall
+            // cycles: the next one would only rebuild the full scan).
+            if (stall_int_writers)
+                continue;
+            if (unissued) {
+                // Nothing passes before the producer issues: wait on
+                // its tag.
+                --keep;
+                inst.nextWaiter = unissued->waiters;
+                unissued->waiters = &inst;
+                ++waiting_;
+            } else if (retry > cur + parkThreshold) {
                 --keep;
                 parked_.emplace_back(retry, &inst);
                 std::push_heap(parked_.begin(), parked_.end(),
                                ParkOrder{});
-                if (inst.hasDest()) {
-                    tagInfo(inst.destTag, inst.destIsFp)
-                        .earliestIssue = retry;
-                }
             }
             continue;
         }
@@ -445,6 +459,17 @@ Pipeline::doIssue(Cycle cur)
             ti.state = TagInfo::State::Issued;
             ti.completeCycle = inst.completeCycle;
             ti.rfReadableCycle = ~Cycle{0};
+            // Wake the waiters: their check on this tag first passes
+            // once exec reaches completeCycle (always after cur, as
+            // every latency is at least one cycle).
+            Cycle wake = inst.completeCycle - params_.regReadStages;
+            for (InFlightInst *w = ti.waiters; w; w = w->nextWaiter) {
+                parked_.emplace_back(wake, w);
+                std::push_heap(parked_.begin(), parked_.end(),
+                               ParkOrder{});
+                --waiting_;
+            }
+            ti.waiters = nullptr;
         }
 
         auto consume_src = [&](const SourceView &s, OperandSource so) {
@@ -470,33 +495,25 @@ Pipeline::doIssue(Cycle cur)
         // and the §6 clustering estimate (steer by result type; a
         // source of another type crosses clusters).
         if (intRf_->hasValueTaxonomy()) {
-            bool has_simple = false, has_short = false, has_long = false;
-            auto type_of = [&](const SourceView &s) {
-                return intRf_->classifyPeek(s.value);
+            bool u1 = s1.used && !s1.isFp;
+            bool u2 = s2.used && !s2.isFp;
+            ValueType t1 = u1 ? intRf_->classifyPeek(s1.value)
+                              : ValueType::Simple;
+            ValueType t2 = u2 ? intRf_->classifyPeek(s2.value)
+                              : ValueType::Simple;
+            auto has = [&](ValueType t) {
+                return (u1 && t1 == t) || (u2 && t2 == t);
             };
-            auto mix_src = [&](const SourceView &s) {
-                if (!s.used || s.isFp)
-                    return;
-                switch (type_of(s)) {
-                  case ValueType::Simple: has_simple = true; break;
-                  case ValueType::Short: has_short = true; break;
-                  case ValueType::Long: has_long = true; break;
-                }
-            };
-            mix_src(s1);
-            mix_src(s2);
-            result_.operandMix.record(has_simple, has_short, has_long);
+            result_.operandMix.record(has(ValueType::Simple),
+                                      has(ValueType::Short),
+                                      has(ValueType::Long));
 
             // Clustering estimate: steer the instruction to the
             // cluster holding (the majority of) its integer operands;
             // with two differing operands, prefer the cluster of the
             // result type so the writeback stays local, and the other
             // operand crosses.
-            bool u1 = s1.used && !s1.isFp;
-            bool u2 = s2.used && !s2.isFp;
             if (u1 && u2) {
-                ValueType t1 = type_of(s1);
-                ValueType t2 = type_of(s2);
                 if (t1 == t2) {
                     result_.cluster.localOperands += 2;
                 } else {
@@ -583,15 +600,11 @@ Pipeline::doRename(Cycle cur)
         if (int_dest) {
             inst.destTag = intMap_.rename(op.rd, inst.oldDestTag);
             inst.destIsFp = false;
-            TagInfo &ti = tagInfo(inst.destTag, false);
-            ti.state = TagInfo::State::Pending;
-            ti.earliestIssue = cur + 1;
+            tagInfo(inst.destTag, false).state = TagInfo::State::Pending;
         } else if (fp_dest) {
             inst.destTag = fpMap_.rename(op.rd, inst.oldDestTag);
             inst.destIsFp = true;
-            TagInfo &ti = tagInfo(inst.destTag, true);
-            ti.state = TagInfo::State::Pending;
-            ti.earliestIssue = cur + 1;
+            tagInfo(inst.destTag, true).state = TagInfo::State::Pending;
         }
 
         iq.insert();
@@ -780,14 +793,17 @@ Pipeline::quiescentUntil(Cycle cur) const
 
     // Issue: any dispatched candidate gets scanned each cycle, and a
     // scan can consume model read-port budget or issue outright —
-    // only a window whose waiting instructions are all *parked* (with
-    // known wake cycles) is skippable.
+    // only a window whose waiting instructions are all parked (known
+    // wake cycles) or on waiter lists is skippable. A waiter wakes
+    // only when its producer issues; the oldest producer of every
+    // chain is dispatched or parked, so the parked bound covers it.
     if (!dispatched_.empty())
         return 0;
 
-    // A Long issue-stall cycle with parked instructions restores the
-    // full scan and counts issueStallCycles per cycle: never skip it.
-    if (!parked_.empty() && intRf_->shouldStallIssue())
+    // A Long issue-stall cycle with parked or waiting instructions
+    // restores the full scan and counts issueStallCycles per cycle:
+    // never skip it.
+    if ((!parked_.empty() || waiting_ != 0) && intRf_->shouldStallIssue())
         return 0;
 
     // Fetch: eligible to pull a record right now — step. (A redirect
@@ -840,6 +856,79 @@ Pipeline::quiescentUntil(Cycle cur) const
     if (next == ~Cycle{0})
         return 0; // nothing can bound the next event
     return next;
+}
+
+void
+Pipeline::checkIssueInvariants() const
+{
+    // The Dispatched ROB entries, in age (= seq) order, and how many
+    // issue structures hold each one.
+    std::vector<const InFlightInst *> live;
+    for (const InFlightInst &inst : rob_) {
+        if (inst.state == InstState::Dispatched)
+            live.push_back(&inst);
+    }
+    std::vector<unsigned> holders(live.size(), 0);
+    auto hold = [&](const InFlightInst *inst, const char *where) {
+        auto it = std::lower_bound(
+            live.begin(), live.end(), inst,
+            [](const InFlightInst *a, const InFlightInst *b) {
+                return a->op.seq < b->op.seq;
+            });
+        if (it == live.end() || *it != inst) {
+            panic("issue invariant: %s holds an instruction that is not "
+                  "a Dispatched ROB entry (cycle %llu)",
+                  where, (unsigned long long)cycle_);
+        }
+        ++holders[it - live.begin()];
+    };
+
+    for (size_t i = 0; i < dispatched_.size(); ++i) {
+        hold(dispatched_[i], "dispatched_");
+        if (i > 0 && dispatched_[i - 1]->op.seq >= dispatched_[i]->op.seq) {
+            panic("issue invariant: dispatched_ not sorted by seq at "
+                  "index %zu (cycle %llu)",
+                  i, (unsigned long long)cycle_);
+        }
+    }
+    for (const auto &entry : parked_)
+        hold(entry.second, "parked_");
+
+    size_t listed = 0;
+    auto walk = [&](const std::vector<TagInfo> &tags, const char *file) {
+        for (size_t tag = 0; tag < tags.size(); ++tag) {
+            const TagInfo &ti = tags[tag];
+            if (ti.waiters && ti.state != TagInfo::State::Pending) {
+                panic("issue invariant: %s tag %zu has waiters but is "
+                      "not Pending (cycle %llu)",
+                      file, tag, (unsigned long long)cycle_);
+            }
+            for (const InFlightInst *w = ti.waiters; w; w = w->nextWaiter) {
+                hold(w, "a waiter list");
+                if (++listed > live.size()) {
+                    panic("issue invariant: waiter lists hold more "
+                          "entries than the ROB (cycle %llu)",
+                          (unsigned long long)cycle_);
+                }
+            }
+        }
+    };
+    walk(intTags_, "int");
+    walk(fpTags_, "fp");
+    if (listed != waiting_) {
+        panic("issue invariant: waiting count %zu but the lists hold "
+              "%zu (cycle %llu)",
+              waiting_, listed, (unsigned long long)cycle_);
+    }
+
+    for (size_t i = 0; i < live.size(); ++i) {
+        if (holders[i] != 1) {
+            panic("issue invariant: Dispatched seq %llu is held by %u "
+                  "issue structures, not 1 (cycle %llu)",
+                  (unsigned long long)live[i]->op.seq, holders[i],
+                  (unsigned long long)cycle_);
+        }
+    }
 }
 
 void

@@ -197,6 +197,16 @@ class Pipeline
     /** Architectural value (raw bits) of fp register @p idx. */
     u64 archFpReg(unsigned idx) const;
 
+    /**
+     * Check the issue bookkeeping and panic on the first violation:
+     * every Dispatched ROB entry is in exactly one of dispatched_,
+     * parked_ or one producer tag's waiter list; dispatched_ is sorted
+     * by seq; every waiter's producer tag is Pending; and the waiting
+     * count equals the summed list lengths. O(ROB + tags); meant for
+     * tests, called between stepCycle() calls.
+     */
+    void checkIssueInvariants() const;
+
   private:
     /** Per-physical-tag timing state. */
     struct TagInfo
@@ -207,12 +217,12 @@ class Pipeline
         /** First cycle the value is readable from the file. */
         Cycle rfReadableCycle = 0;
         /**
-         * While Pending: a lower bound on the producing instruction's
-         * issue cycle (set at rename, raised when the producer is
-         * parked). Lets consumers of a parked producer park too, so
-         * whole dependency chains leave the issue scan.
+         * While Pending: head of the list (linked through
+         * InFlightInst::nextWaiter) of dispatched consumers whose
+         * operand check failed on this tag. They are out of the issue
+         * scan until the producer issues and fixes completeCycle.
          */
-        Cycle earliestIssue = 0;
+        InFlightInst *waiters = nullptr;
     };
 
     struct FetchedInst
@@ -302,8 +312,9 @@ class Pipeline
      * are stable between push and pop; there is no flush path — the
      * front end never fetches wrong-path instructions).
      *
-     * dispatched_ holds state==Dispatched instructions in program
-     * order (appended at rename, compacted at issue). pendingWb_ holds
+     * dispatched_ holds the state==Dispatched instructions not
+     * waiting or parked (below) in program order (appended at rename,
+     * compacted at issue). pendingWb_ holds
      * state==Issued instructions sorted by seq (binary-insert at
      * issue, compacted at writeback), which is exactly the age order
      * the full-ROB scan visited them in.
@@ -312,21 +323,37 @@ class Pipeline
     std::vector<InFlightInst *> pendingWb_;
 
     /**
-     * Dispatched instructions parked out of the issue scan until a
-     * known cycle: a min-heap keyed by the first cycle their operand
-     * check could pass, derived only from facts that cannot change
-     * before then (an issued producer's completeCycle, a written-back
-     * producer's rfReadableCycle, or a parked producer's own bound).
-     * Entries re-enter dispatched_ at their age-ordered position when
-     * the bound arrives, so issue decisions are bit-identical to the
-     * full scan — the parked cycles are exactly the ones whose check
-     * was guaranteed to fail. A Long issue-stall cycle unparks
-     * everything first, keeping issueStallCycles exact.
+     * Dispatched instructions out of the issue scan, in one of two
+     * places, only while their operand check is guaranteed to fail:
+     *
+     *  - waiting: a source's producer has not issued (tag Pending).
+     *    The instruction sits on that tag's TagInfo::waiters list;
+     *    when the producer issues, its waiters move to parked_ at
+     *    completeCycle - regReadStages, the first cycle their check
+     *    on that source could pass.
+     *  - parked_: a min-heap keyed by a known retry cycle (an issued
+     *    producer's completeCycle, a written-back producer's
+     *    rfReadableCycle), entered directly when the wait exceeds
+     *    parkThreshold, or from a waiter list on wakeup.
+     *
+     * Heap entries re-enter dispatched_ at their age-ordered position
+     * when the cycle arrives, so issue decisions are bit-identical to
+     * the full scan. A Long issue-stall cycle inspects every
+     * dispatched instruction (issueStallCycles), so it first rebuilds
+     * dispatched_ from the ROB and empties the heap and the lists.
      */
     std::vector<std::pair<Cycle, InFlightInst *>> parked_;
+    /** Instructions on waiter lists (summed list lengths). */
+    size_t waiting_ = 0;
 
     /** Move @p inst back into dispatched_ at its seq position. */
     void unpark(InFlightInst *inst);
+
+    /**
+     * Put every Dispatched ROB entry back into dispatched_ (age
+     * order) and empty parked_ and the waiter lists.
+     */
+    void restoreFullScan();
 
     std::unique_ptr<PredictingFetchStream> serialStream_;
 

@@ -51,6 +51,9 @@ struct InFlightInst
     /** Writeback attempted but stalled on Long allocation. */
     bool wbStalledOnLong = false;
 
+    /** Next consumer on the same producer tag's waiter list. */
+    InFlightInst *nextWaiter = nullptr;
+
     bool hasDest() const { return destTag != invalidIndex; }
     bool writesIntDest() const { return hasDest() && !destIsFp; }
 };

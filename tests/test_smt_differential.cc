@@ -6,6 +6,14 @@
  * every INT-suite workload on every registered backend. This is what
  * lets the rest of the SMT test wall trust that any T>1 effect it
  * observes is sharing, not a modeling drift between the two cores.
+ *
+ * The SMT core keeps the plain full issue scan, so it is also the
+ * independent reference for the solo core's issue wakeup (waiter
+ * lists, parking heap, and the rebuild of the scan list on Long
+ * issue-stall cycles). The Long-stall points (content-aware d+n=8
+ * with a 32-entry Long file; at the default 48 entries five INT
+ * kernels never stall) are there to exercise that rebuild: each must
+ * see issue-stall cycles.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +36,18 @@ class SmtSoloDifferential
 {
 };
 
+/** Long issue-stall heavy config label: d+n=8, 32 Long entries. */
+const std::string longStallConfig = "content-aware-dn8-k32";
+
+/** A registered backend's defaults, or the Long-stall point. */
+core::CoreParams
+configParams(const std::string &config)
+{
+    if (config == longStallConfig)
+        return core::CoreParams::contentAware(8, 3, 32);
+    return core::CoreParams::forBackend(config);
+}
+
 std::vector<std::string>
 intSuiteNames()
 {
@@ -41,10 +61,10 @@ intSuiteNames()
 
 TEST_P(SmtSoloDifferential, OneThreadSmtMatchesSoloBitIdentical)
 {
-    auto [workload_name, backend] = GetParam();
+    auto [workload_name, config] = GetParam();
     const u64 insts = 20000;
     const auto &workload = workloads::findWorkload(workload_name);
-    core::CoreParams params = core::CoreParams::forBackend(backend);
+    core::CoreParams params = configParams(config);
 
     auto solo_trace = workloads::makeTrace(workload, insts);
     core::Pipeline pipeline(params);
@@ -66,6 +86,10 @@ TEST_P(SmtSoloDifferential, OneThreadSmtMatchesSoloBitIdentical)
     EXPECT_EQ(agg.cycles, solo.cycles);
     EXPECT_EQ(agg.committedInsts, solo.committedInsts);
     EXPECT_EQ(agg.smtThreads, 1u);
+
+    if (config == longStallConfig) {
+        EXPECT_GT(solo.issueStallCycles, 0u);
+    }
 }
 
 namespace
@@ -90,6 +114,12 @@ INSTANTIATE_TEST_SUITE_P(
     IntSuiteTimesBackends, SmtSoloDifferential,
     ::testing::Combine(::testing::ValuesIn(intSuiteNames()),
                        ::testing::ValuesIn(regfile::registry().names())),
+    smtDifferentialName);
+
+INSTANTIATE_TEST_SUITE_P(
+    IntSuiteLongStall, SmtSoloDifferential,
+    ::testing::Combine(::testing::ValuesIn(intSuiteNames()),
+                       ::testing::Values(longStallConfig)),
     smtDifferentialName);
 
 } // namespace carf
