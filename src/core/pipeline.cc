@@ -21,7 +21,7 @@ namespace
 /** Instruction bytes per trace pc slot (word-addressed ISA). */
 constexpr u64 instBytes = 4;
 /** Fetch buffer capacity in instructions. */
-constexpr size_t fetchBufferCap = 32;
+constexpr unsigned fetchBufferCap = 32;
 /** Cycles without a commit before the simulator declares a bug. */
 constexpr Cycle watchdogCycles = 200000;
 
@@ -52,12 +52,11 @@ Pipeline::Pipeline(const CoreParams &params)
       fpMap_(isa::numArchRegs, params.physFpRegs),
       intTags_(params.physIntRegs),
       fpTags_(params.physFpRegs),
-      rob_(params.robSize),
+      rob_(params.robSize, fetchBufferCap),
       intIq_(params.intIqSize),
       fpIq_(params.fpIqSize),
       lsq_(params.lsqSize),
-      memory_(params.memory),
-      fetchBuffer_(fetchBufferCap)
+      memory_(params.memory)
 {
     dispatched_.reserve(params.robSize);
     pendingWb_.reserve(params.robSize);
@@ -530,7 +529,7 @@ Pipeline::doIssue(Cycle cur)
         if (is_store)
             lsq_.storeIssued(inst.op.seq, inst.completeCycle);
 
-        if (inst.mispredicted) {
+        if (!inst.predictedCorrect) {
             fetchResumeCycle_ = inst.completeCycle;
             pendingRedirect_ = false;
         }
@@ -549,8 +548,8 @@ void
 Pipeline::doRename(Cycle cur)
 {
     unsigned budget = params_.fetchWidth;
-    while (budget > 0 && !fetchBuffer_.empty()) {
-        FetchedInst &fetched = fetchBuffer_.front();
+    while (budget > 0 && !rob_.fetchEmpty()) {
+        const InFlightInst &fetched = rob_.fetchFront();
         if (fetched.fetchCycle + params_.frontendDepth > cur)
             break;
         if (rob_.full())
@@ -572,11 +571,10 @@ Pipeline::doRename(Cycle cur)
         if (fp_dest && !fpMap_.canRename())
             break;
 
-        InFlightInst &inst = rob_.push(op);
+        // The fetched slot becomes the ROB entry in place (op stays
+        // valid: it is that slot's record).
+        InFlightInst &inst = rob_.dispatch(cur);
         dispatched_.push_back(&inst);
-        inst.fetchCycle = fetched.fetchCycle;
-        inst.renameCycle = cur;
-        inst.mispredicted = fetched.mispredicted;
 
         if (info.rs1Class == isa::RegClass::Int) {
             if (op.rs1 != 0) {
@@ -613,7 +611,6 @@ Pipeline::doRename(Cycle cur)
         else if (op.isStore())
             lsq_.dispatchStore(op.seq, op.effAddr, info.memBytes);
 
-        fetchBuffer_.popFront();
         --budget;
     }
 }
@@ -631,10 +628,12 @@ Pipeline::doFetch(Cycle cur, FetchStream &stream)
     // One call consumes at most fetchWidth stream records (each
     // iteration pulls at most one, and at most fetchWidth iterations
     // make progress); the lockstep chunk pause relies on this bound.
-    while (budget > 0 && !fetchBuffer_.full()) {
-        FetchEntry entry;
+    while (budget > 0 && !rob_.fetchFull()) {
+        // Records are materialized straight into the window slot they
+        // keep until commit. A record stashed by an I-miss is still in
+        // that slot: rename and commit never move the fetch tail.
+        InFlightInst &entry = rob_.fetchTail();
         if (pendingFetchValid_) {
-            entry = pendingFetch_;
             pendingFetchValid_ = false;
         } else if (!stream.next(entry)) {
             traceExhausted_ = true;
@@ -647,8 +646,8 @@ Pipeline::doFetch(Cycle cur, FetchStream &stream)
             Cycle lat = memory_.instAccess(op.pc * instBytes);
             lastFetchLine_ = line;
             if (lat > params_.memory.il1.hitLatency) {
-                // I-cache miss: stash the instruction and stall.
-                pendingFetch_ = entry;
+                // I-cache miss: leave the record in the (uncounted)
+                // fetch tail and stall.
                 pendingFetchValid_ = true;
                 lastFetchLine_ = ~u64{0}; // re-check after refill
                 fetchResumeCycle_ = cur + lat;
@@ -661,12 +660,11 @@ Pipeline::doFetch(Cycle cur, FetchStream &stream)
             if (!entry.predictedCorrect)
                 ++result_.branchMispredicts;
         }
-        bool correct = entry.predictedCorrect;
-
-        fetchBuffer_.pushBack(FetchedInst{op, cur, !correct});
+        entry.fetchCycle = cur;
+        rob_.pushFetched();
         --budget;
 
-        if (!correct) {
+        if (!entry.predictedCorrect) {
             pendingRedirect_ = true;
             return;
         }
@@ -745,7 +743,7 @@ Pipeline::finishWarmUp(const WarmupScratch &scratch)
 void
 Pipeline::resetForResume()
 {
-    if (!rob_.empty() || !fetchBuffer_.empty() || pendingFetchValid_)
+    if (!rob_.empty() || !rob_.fetchEmpty() || pendingFetchValid_)
         panic("resetForResume: lane still has work in flight");
     traceExhausted_ = false;
     // Fetch pacing latches from the drained episode are stale; the
@@ -777,7 +775,7 @@ Pipeline::classifyCycle() const
         return rob_.full() ? CycleAccounting::RobFull
                            : CycleAccounting::IssueBound;
     }
-    if (!fetchBuffer_.empty())
+    if (!rob_.fetchEmpty())
         return CycleAccounting::FrontendFill;
     if (pendingFetchValid_)
         return CycleAccounting::IcacheWait;
@@ -810,14 +808,14 @@ Pipeline::quiescentUntil(Cycle cur) const
     // blocks fetch until the mispredicted branch issues, which is
     // bounded by the parked/writeback candidates below; a full fetch
     // buffer blocks until rename drains it, bounded likewise.)
-    if (!traceExhausted_ && !pendingRedirect_ && !fetchBuffer_.full() &&
+    if (!traceExhausted_ && !pendingRedirect_ && !rob_.fetchFull() &&
         cur >= fetchResumeCycle_)
         return 0;
 
     Cycle next = ~Cycle{0};
     auto candidate = [&next](Cycle c) { next = std::min(next, c); };
 
-    if (!traceExhausted_ && !pendingRedirect_ && !fetchBuffer_.full())
+    if (!traceExhausted_ && !pendingRedirect_ && !rob_.fetchFull())
         candidate(fetchResumeCycle_);
 
     if (!parked_.empty())
@@ -835,8 +833,8 @@ Pipeline::quiescentUntil(Cycle cur) const
     // Rename: blocked on pipeline depth until a known cycle, or on a
     // structural resource (ROB/IQ/LSQ/free list) whose release needs
     // a commit/issue/writeback event already bounded above.
-    if (!fetchBuffer_.empty()) {
-        const FetchedInst &fetched = fetchBuffer_.front();
+    if (!rob_.fetchEmpty()) {
+        const InFlightInst &fetched = rob_.fetchFront();
         Cycle ready = fetched.fetchCycle + params_.frontendDepth;
         if (ready > cur) {
             candidate(ready);
@@ -861,6 +859,51 @@ Pipeline::quiescentUntil(Cycle cur) const
 void
 Pipeline::checkIssueInvariants() const
 {
+    // The window: both regions within capacity, and every fetched
+    // entry stamped no later than now.
+    if (rob_.size() > params_.robSize ||
+        rob_.fetchSize() > fetchBufferCap) {
+        panic("window invariant: %zu ROB and %zu fetched entries exceed "
+              "%u + %u slots (cycle %llu)",
+              rob_.size(), rob_.fetchSize(), params_.robSize,
+              fetchBufferCap, (unsigned long long)cycle_);
+    }
+    for (size_t i = 0; i < rob_.fetchSize(); ++i) {
+        if (rob_.fetched(i).fetchCycle > cycle_) {
+            panic("window invariant: fetched seq %llu has fetchCycle "
+                  "%llu (cycle %llu)",
+                  (unsigned long long)rob_.fetched(i).op.seq,
+                  (unsigned long long)rob_.fetched(i).fetchCycle,
+                  (unsigned long long)cycle_);
+        }
+    }
+    // Every pointer the issue and writeback bookkeeping holds is a ROB
+    // slot, never a fetched entry or the I-miss stash past them.
+    auto in_rob = [&](const InFlightInst *inst, const char *where) {
+        if (!rob_.inRob(inst)) {
+            panic("window invariant: %s points outside the ROB region "
+                  "(cycle %llu)",
+                  where, (unsigned long long)cycle_);
+        }
+    };
+    size_t issued = 0;
+    for (const InFlightInst &inst : rob_)
+        issued += inst.state == InstState::Issued;
+    if (pendingWb_.size() != issued) {
+        panic("issue invariant: %zu Issued ROB entries but pendingWb_ "
+              "holds %zu (cycle %llu)",
+              issued, pendingWb_.size(), (unsigned long long)cycle_);
+    }
+    for (size_t i = 0; i < pendingWb_.size(); ++i) {
+        in_rob(pendingWb_[i], "pendingWb_");
+        if (pendingWb_[i]->state != InstState::Issued ||
+            (i > 0 && pendingWb_[i - 1]->op.seq >= pendingWb_[i]->op.seq)) {
+            panic("issue invariant: pendingWb_ entry %zu is not Issued "
+                  "or not in seq order (cycle %llu)",
+                  i, (unsigned long long)cycle_);
+        }
+    }
+
     // The Dispatched ROB entries, in age (= seq) order, and how many
     // issue structures hold each one.
     std::vector<const InFlightInst *> live;
@@ -870,6 +913,7 @@ Pipeline::checkIssueInvariants() const
     }
     std::vector<unsigned> holders(live.size(), 0);
     auto hold = [&](const InFlightInst *inst, const char *where) {
+        in_rob(inst, where);
         auto it = std::lower_bound(
             live.begin(), live.end(), inst,
             [](const InFlightInst *a, const InFlightInst *b) {

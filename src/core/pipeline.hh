@@ -150,8 +150,8 @@ class Pipeline
     bool
     active() const
     {
-        return !(traceExhausted_ && rob_.empty() &&
-                 fetchBuffer_.empty() && !pendingFetchValid_);
+        return !(traceExhausted_ && rob_.empty() && rob_.fetchEmpty() &&
+                 !pendingFetchValid_);
     }
 
     /**
@@ -202,8 +202,12 @@ class Pipeline
      * every Dispatched ROB entry is in exactly one of dispatched_,
      * parked_ or one producer tag's waiter list; dispatched_ is sorted
      * by seq; every waiter's producer tag is Pending; and the waiting
-     * count equals the summed list lengths. O(ROB + tags); meant for
-     * tests, called between stepCycle() calls.
+     * count equals the summed list lengths. Also checks the window:
+     * ROB and fetch-buffer occupancy within capacity, every listed
+     * pointer (scan lists, heap, waiter lists) inside the ROB region,
+     * and no fetched entry stamped later than the current cycle.
+     * O(ROB + tags); meant for tests, called between stepCycle()
+     * calls.
      */
     void checkIssueInvariants() const;
 
@@ -223,13 +227,6 @@ class Pipeline
          * scan until the producer issues and fixes completeCycle.
          */
         InFlightInst *waiters = nullptr;
-    };
-
-    struct FetchedInst
-    {
-        emu::DynOp op;
-        Cycle fetchCycle = 0;
-        bool mispredicted = false;
     };
 
     struct SourceView
@@ -300,17 +297,25 @@ class Pipeline
     std::vector<TagInfo> intTags_;
     std::vector<TagInfo> fpTags_;
 
+    /**
+     * The instruction window: the ROB followed by the fetch buffer in
+     * one ring (fetchBufferCap slots past robSize). Fetch writes each
+     * record into the slot it keeps until commit; rename moves the
+     * region boundary.
+     */
     Rob rob_;
     IssueQueue intIq_;
     IssueQueue fpIq_;
     Lsq lsq_;
 
     /**
-     * Scan lists over the ROB window, so the per-cycle issue and
-     * writeback stages visit only live candidates instead of walking
-     * the whole ROB. Entries are raw pointers into the ROB ring (slots
-     * are stable between push and pop; there is no flush path — the
-     * front end never fetches wrong-path instructions).
+     * Scan lists over the ROB region of the window, so the per-cycle
+     * issue and writeback stages visit only live candidates instead
+     * of walking the whole ROB. Entries are raw pointers into the
+     * window ring: a slot is stable from fetch to commit, and only ROB
+     * entries are ever listed, never the fetch region or the I-miss
+     * stash past it (there is no flush path — the front end never
+     * fetches wrong-path instructions).
      *
      * dispatched_ holds the state==Dispatched instructions not
      * waiting or parked (below) in program order (appended at rename,
@@ -359,13 +364,14 @@ class Pipeline
 
     mem::Hierarchy memory_;
 
-    RingBuffer<FetchedInst> fetchBuffer_;
     bool traceExhausted_ = false;
     bool pendingRedirect_ = false;
     Cycle fetchResumeCycle_ = 0;
     u64 lastFetchLine_ = ~u64{0};
-    /** Record pulled from the stream but stalled on an I-miss. */
-    FetchEntry pendingFetch_;
+    /**
+     * A record pulled from the stream sits in rob_.fetchTail(),
+     * stalled on an I-miss.
+     */
     bool pendingFetchValid_ = false;
 
     u64 committedSinceInterval_ = 0;

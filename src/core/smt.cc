@@ -480,7 +480,7 @@ SmtPipeline::tryIssueOne(Cycle cur, unsigned tid, InFlightInst &inst,
     }
     if (is_store)
         thread.lsq->storeIssued(inst.op.seq, inst.completeCycle);
-    if (inst.mispredicted) {
+    if (!inst.predictedCorrect) {
         thread.fetchResumeCycle = inst.completeCycle;
         thread.pendingRedirect = false;
     }
@@ -563,7 +563,7 @@ SmtPipeline::renameOne(Cycle cur, unsigned tid)
     InFlightInst &inst = thread.rob->push(op);
     inst.fetchCycle = fetched.fetchCycle;
     inst.renameCycle = cur;
-    inst.mispredicted = fetched.mispredicted;
+    inst.predictedCorrect = !fetched.mispredicted;
 
     if (info.rs1Class == isa::RegClass::Int) {
         if (op.rs1 != 0) {
