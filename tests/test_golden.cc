@@ -2,11 +2,12 @@
  * @file
  * Golden-output wall: every case in golden.hh must reproduce its line
  * in golden/run_results.jsonl byte for byte. The file pins the full
- * stripped RunResult serialization of the solo core over the INT, FP
- * and stall suites and five configurations, so a data-path refactor
- * of the core (which must not change a single simulated statistic)
- * is checked against a fixed reference rather than against a second
- * copy of the core.
+ * stripped RunResult serialization of the core over the INT, FP and
+ * stall suites and five configurations, and of SMT runs at two to
+ * eight threads (the ablation_smt grid and stall-suite pairs), so a
+ * data-path refactor of the core (which must not change a single
+ * simulated statistic) is checked against a fixed reference rather
+ * than against a second copy of the core.
  *
  * After an intended change to simulated behaviour, regenerate the
  * file with
