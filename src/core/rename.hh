@@ -1,11 +1,12 @@
 /**
  * @file
- * Register renaming: per-class register alias tables and physical
- * tag free lists.
+ * Register renaming: the physical tag free list. The register alias
+ * tables are per thread (core::Pipeline::Thread); the free list of
+ * each register class is shared by all threads.
  *
  * Integer architectural register 0 is hardwired to zero and is never
- * renamed nor mapped; reads of it carry no dependence and no register
- * file access.
+ * renamed; reads of it carry no dependence and no register file
+ * access.
  */
 
 #ifndef CARF_CORE_RENAME_HH
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "isa/opcode.hh"
 
 namespace carf::core
 {
@@ -34,40 +34,6 @@ class FreeList
 
   private:
     std::vector<u32> free_;
-};
-
-/**
- * One register class's rename state: RAT + free list. The initial
- * mapping is identity (arch reg i -> tag i), and those tags are live
- * with value zero at reset.
- */
-class RenameMap
-{
-  public:
-    RenameMap(unsigned arch_regs, unsigned phys_regs);
-
-    /** Current mapping of @p arch (the tag consumers read). */
-    u32 lookup(unsigned arch) const { return rat_.at(arch); }
-
-    bool canRename() const { return !freeList_.empty(); }
-
-    /**
-     * Rename @p arch to a fresh tag.
-     * @param old_tag_out previous mapping, to release at commit
-     * @return the new tag
-     */
-    u32 rename(unsigned arch, u32 &old_tag_out);
-
-    /** Commit released the previous mapping @p old_tag. */
-    void releaseTag(u32 old_tag) { freeList_.release(old_tag); }
-
-    size_t freeTags() const { return freeList_.freeCount(); }
-    unsigned physRegs() const { return physRegs_; }
-
-  private:
-    unsigned physRegs_;
-    std::vector<u32> rat_;
-    FreeList freeList_;
 };
 
 } // namespace carf::core

@@ -14,21 +14,6 @@ Rob::Rob(unsigned rob_capacity, unsigned fetch_capacity)
         panic("Rob: zero ROB capacity");
 }
 
-InFlightInst &
-Rob::push(const emu::DynOp &op)
-{
-    if (full())
-        panic("Rob: push into full ROB");
-    if (!fetchEmpty())
-        panic("Rob: push behind fetched entries");
-    InFlightInst &inst = at(count_);
-    static_cast<FetchEntry &>(inst) = FetchEntry{op};
-    inst.fetchCycle = 0;
-    inst.resetRenameState(0);
-    ++count_;
-    return inst;
-}
-
 bool
 Rob::inRob(const InFlightInst *inst) const
 {

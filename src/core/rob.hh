@@ -116,13 +116,6 @@ class Rob
     const InFlightInst &head() const { return slots_[head_]; }
     void popHead();
 
-    /**
-     * Fetch and dispatch @p op in one step, for a core that buffers
-     * fetched records itself: the fetch-time fields take their
-     * defaults (the caller sets what it tracks).
-     */
-    InFlightInst &push(const emu::DynOp &op);
-
     /** True when @p inst is a slot of the ROB region. */
     bool inRob(const InFlightInst *inst) const;
 

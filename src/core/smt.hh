@@ -1,54 +1,28 @@
 /**
  * @file
- * Simultaneous multithreading extension (paper §6): N hardware
- * threads share one content-aware integer register file.
+ * Simultaneous multithreading (paper §6): N hardware threads share one
+ * content-aware integer register file.
  *
  * The paper observes that the number of *live* Long registers is far
  * below the Long file's peak-sized capacity (on average ~12.7 of 48),
- * so a single Long file can feed more than one thread. This model
- * tests that claim directly, and measures what the paper never did:
- * how similarity sharing scales with thread count.
+ * so a single Long file can feed more than one thread. CARF tests
+ * that claim directly, and measures what the paper never did: how
+ * similarity sharing scales with thread count.
  *
- * Sharing/partitioning policy (EV8-flavoured, documented in
- * DESIGN.md §4.7):
- *  - shared: physical register files (the Simple/Short/Long sub-files
- *    and the tag pool), issue queues, issue/writeback/commit
- *    bandwidth, functional units, caches, branch predictor (pc salted
- *    by thread id);
- *  - per-thread: architectural RATs, ROB and LSQ partitions
- *    (capacity / T each), fetch state; fetch and commit round-robin
- *    between threads.
- *
- * Cross-thread accounting: the shared Short file tracks which thread
- * first placed each resident value group; a Short-typed writeback by
- * a different thread is a *cross-thread share*
- * (RegisterFile::SharingStats). Long pressure (write stalls,
- * §3.2 recoveries, issue-stall cycles) is attributed per thread, and
- * pseudo-deadlock recovery is contention-aware: at most one forced
- * Long grant per cycle, awarded to the first stalled ROB head in
- * rotating thread order, with a starvation counter bounding how long
- * any head waited.
- *
- * Each thread runs its own TraceSource with its own functional
- * memory; store-load ordering is enforced within a thread only.
+ * The multithreaded core is core::Pipeline itself, constructed with
+ * a thread count and run over one trace per thread
+ * (Pipeline::run(std::vector<emu::TraceSource *>, bool)); the sharing
+ * and partitioning policy is documented there and in DESIGN.md §4.7.
+ * This header holds the run's result and keeps the SmtPipeline name.
  */
 
 #ifndef CARF_CORE_SMT_HH
 #define CARF_CORE_SMT_HH
 
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "core/core_stats.hh"
-#include "core/fetch_stream.hh"
-#include "core/issue_queue.hh"
-#include "core/lsq.hh"
-#include "core/params.hh"
-#include "core/rename.hh"
-#include "core/rob.hh"
-#include "emu/trace.hh"
-#include "mem/hierarchy.hh"
+#include "core/pipeline.hh"
 #include "regfile/regfile.hh"
 
 namespace carf::core
@@ -110,168 +84,8 @@ struct SmtResult
     RunResult aggregate() const;
 };
 
-/** Multithreaded variant of the out-of-order core. */
-class SmtPipeline
-{
-  public:
-    /**
-     * @param params core configuration (register file organization,
-     *        widths, ports); ROB/LSQ capacities are split across
-     *        threads
-     * @param num_threads hardware thread count (>= 1)
-     */
-    SmtPipeline(const CoreParams &params, unsigned num_threads);
-    ~SmtPipeline();
-
-    /**
-     * Run the thread traces.
-     *
-     * @param stop_on_first_drain end the measurement when the first
-     *        thread completes (standard SMT methodology: per-thread
-     *        IPC is only meaningful while all threads are active);
-     *        when false, runs until every trace drains
-     * @pre sources.size() == num_threads
-     */
-    SmtResult run(std::vector<emu::TraceSource *> sources,
-                  bool stop_on_first_drain = true);
-
-    /**
-     * Debug gate: run the register-file model's structural
-     * checkInvariants() after every simulated cycle and panic on the
-     * first violation. Testing only — quadratic-ish cost.
-     */
-    void enableInvariantChecks() { checkInvariantsEveryCycle_ = true; }
-
-    regfile::RegisterFile &intRegFile() { return *intRf_; }
-
-  private:
-    struct TagInfo
-    {
-        enum class State : u8 { Pending, Issued, Done };
-        State state = State::Done;
-        Cycle completeCycle = 0;
-        Cycle rfReadableCycle = 0;
-    };
-
-    struct FetchedInst
-    {
-        emu::DynOp op;
-        Cycle fetchCycle = 0;
-        bool mispredicted = false;
-    };
-
-    /** Per-thread front-end, rename, and window state. */
-    struct Thread
-    {
-        emu::TraceSource *source = nullptr;
-        std::vector<u32> intRat;
-        std::vector<u32> fpRat;
-        std::unique_ptr<Rob> rob;
-        std::unique_ptr<Lsq> lsq;
-        std::deque<FetchedInst> fetchBuffer;
-        bool traceExhausted = false;
-        bool pendingRedirect = false;
-        Cycle fetchResumeCycle = 0;
-        u64 lastFetchLine = ~u64{0};
-        /** Predicted record stashed across an I-cache miss. */
-        FetchEntry pendingFetch;
-        bool pendingFetchValid = false;
-        /** Dispatched-but-not-issued instructions (ICOUNT metric). */
-        unsigned iqCount = 0;
-        /** Per-queue occupancy, bounded by the per-thread share cap. */
-        unsigned intIqCount = 0;
-        unsigned fpIqCount = 0;
-        /** Integer writers blocked by the free-Long stall this cycle. */
-        bool longStallSeen = false;
-        /** Consecutive cycles this ROB head waited for a forced grant. */
-        u64 headStallWait = 0;
-        RunResult result;
-
-        bool
-        drained() const
-        {
-            return traceExhausted && rob->empty() &&
-                   fetchBuffer.empty() && !pendingFetchValid;
-        }
-    };
-
-    void doCommit(Cycle cur);
-    void doWriteback(Cycle cur);
-    void doIssue(Cycle cur);
-    void doRename(Cycle cur);
-    void doFetch(Cycle cur);
-
-    /**
-     * Attribute the coming cycle to one bucket for @p thread, from
-     * pre-stage state — the same pure-function rule as the solo
-     * pipeline's classifyCycle(), over the thread's partition.
-     */
-    unsigned classifyThread(const Thread &thread, Cycle cur) const;
-
-    bool tryIssueOne(Cycle cur, unsigned tid, InFlightInst &inst,
-                     unsigned &int_fu, unsigned &fp_fu,
-                     unsigned &mem_ports, unsigned &int_rd,
-                     unsigned &fp_rd, bool stall_int_writers);
-    bool renameOne(Cycle cur, unsigned tid);
-    void fetchThread(Cycle cur, unsigned tid, unsigned &budget);
-
-    /**
-     * Thread order for the front end: ICOUNT policy (Tullsen et
-     * al.) — threads with fewer instructions waiting in the issue
-     * queues go first, preventing a dependence-limited thread from
-     * clogging the shared queues and starving its partners.
-     */
-    std::vector<unsigned> icountOrder() const;
-
-    /**
-     * Salt a trace pc with the thread id. All traces are linked at
-     * pc 0, so without salting every thread would alias in the
-     * shared predictor/BTB/I-cache index bits; the salt stands in
-     * for the distinct code addresses real processes would have.
-     * Low bits are perturbed too, so the *index* bits differ.
-     * Thread 0's salt is zero, keeping it bit-identical to the solo
-     * pipeline's unsalted stream.
-     */
-    u64 saltedPc(unsigned tid, u64 pc) const
-    {
-        return pc + u64{tid} * 0x10000405ull;
-    }
-
-    TagInfo &tagInfo(u32 tag, bool is_fp)
-    {
-        return is_fp ? fpTags_.at(tag) : intTags_.at(tag);
-    }
-
-    CoreParams params_;
-    unsigned numThreads_;
-
-    std::unique_ptr<regfile::RegisterFile> intRf_;
-    std::unique_ptr<regfile::RegisterFile> fpRf_;
-
-    FreeList intFreeList_;
-    FreeList fpFreeList_;
-    std::vector<TagInfo> intTags_;
-    std::vector<TagInfo> fpTags_;
-
-    IssueQueue intIq_;
-    IssueQueue fpIq_;
-
-    /** Shared gshare+BTB+RAS front end, fed pc-salted records. */
-    BranchPredictors predictors_;
-    mem::Hierarchy memory_;
-
-    std::vector<Thread> threads_;
-    unsigned rrCounter_ = 0;
-    /** Aggregate commits toward the next ROB-interval epoch. */
-    u64 committedTick_ = 0;
-
-    /** Shared-file occupancy sampled once per cycle (solo parity). */
-    stats::Average liveLong_;
-    stats::Average liveShort_;
-    /** Starvation bound over all threads (SmtResult::maxRecoveryWait). */
-    u64 maxRecoveryWait_ = 0;
-    bool checkInvariantsEveryCycle_ = false;
-};
+/** The multithreaded core is the one core. */
+using SmtPipeline = Pipeline;
 
 } // namespace carf::core
 

@@ -119,7 +119,6 @@ class ContentAwareRegFile : public RegisterFile
                 liveShortEntries()};
     }
     u64 shortAllocWrites() const override { return shortFile_.allocations(); }
-    u64 writeStalls() const override { return longAllocStalls_.value(); }
     u64 recoveries() const override { return recoveries_.value(); }
 
     std::vector<BankGeometry> banks() const override;

@@ -20,9 +20,11 @@
  *  - **energy/area/delay reporting**: banks() describes the model's
  *    storage arrays and energyTerms() its per-access accounting, both
  *    evaluated by the Rixner model in src/energy;
- *  - **summary counters**: occupancy(), shortAllocWrites(),
- *    writeStalls(), recoveries(), portStats() populate RunResult
- *    without the pipeline knowing which backend it drives;
+ *  - **summary counters**: occupancy(), shortAllocWrites() and
+ *    portStats() populate RunResult without the pipeline knowing
+ *    which backend it drives (the pipeline counts write stalls and
+ *    recoveries itself, per thread); recoveries() exposes the model's
+ *    own forced-write count;
  *  - **verification**: checkInvariants(), structureCounts(), and
  *    debugInjectFault() give the shadow-oracle fuzzer structural
  *    visibility into any backend through the base class alone.
@@ -230,8 +232,6 @@ class RegisterFile
 
     /** Internal allocation writes surfaced as short_file_writes. */
     virtual u64 shortAllocWrites() const { return 0; }
-    /** Writebacks delayed waiting for an internal allocation. */
-    virtual u64 writeStalls() const { return 0; }
     /** Forced-write recoveries (§3.2 pseudo-deadlock). */
     virtual u64 recoveries() const { return 0; }
 

@@ -195,9 +195,6 @@ ExperimentRunner::run(const std::vector<ExperimentJob> &batch,
             if (job.options.samplingPeriod > 0)
                 unit_results.push_back(simulateSampled(
                     job.workload, job.params, job.options));
-            else if (job.params.smtThreads > 1)
-                unit_results.push_back(
-                    simulateSmt(job.workload, job.params, job.options));
             else
                 unit_results.push_back(simulate(job.workload, job.params,
                                                 job.options, job.oracle));

@@ -55,7 +55,7 @@ resultKeyFields(const std::string &workload_name,
     // SMT axis: thread count plus the partner-workload mix. Keyed
     // unconditionally so a solo job (smt_threads=1, empty mix) can
     // never alias an SMT job over the same workload. The mix is
-    // keyed only when it takes effect (smtThreads > 1): simulateSmt
+    // keyed only when it takes effect (smtThreads > 1): simulate()
     // ignores it for one thread, so a T=1 job with a populated mix
     // is the same simulated point as the plain solo job and must
     // share its key.

@@ -68,8 +68,8 @@ struct SimOptions
     std::vector<std::string> smtMix;
 
     /**
-     * Exact idle-cycle skip in the solo cycle loop (Pipeline
-     * fast path). Results are bit-identical either way; off is for
+     * Exact idle-cycle skip in the cycle loop (Pipeline fast
+     * path). Results are bit-identical either way; off is for
      * differential tests and honest speedup measurement.
      */
     bool fastPath = true;
@@ -101,7 +101,15 @@ struct SimOptions
 };
 
 /**
- * Simulate @p workload on a core configured by @p params.
+ * Simulate @p workload on a core configured by @p params, with
+ * params.smtThreads hardware threads. Thread 0 runs @p workload;
+ * partner threads run options.smtMix (see SimOptions::smtMix), each
+ * over its own trace of options.maxInsts records. A multithreaded
+ * run returns the aggregate RunResult (SmtResult::aggregate(): summed
+ * per-thread counters plus the smt* fields).
+ *
+ * Fast-forward and the live-value oracle need a one-thread core;
+ * fatal if requested with smtThreads > 1.
  *
  * @param oracle optional live-value oracle (requires
  *        options.oracleSamplePeriod > 0 to receive samples)
@@ -110,22 +118,6 @@ core::RunResult simulate(const workloads::Workload &workload,
                          const core::CoreParams &params,
                          const SimOptions &options = {},
                          LiveValueOracle *oracle = nullptr);
-
-/**
- * Simulate @p workload on an SMT core with params.smtThreads hardware
- * threads (core/smt.hh). Thread 0 runs @p workload; partner threads
- * run options.smtMix (see SimOptions::smtMix). Returns the aggregate
- * RunResult (summed per-thread counters plus the smt* fields).
- *
- * With smtThreads == 1 this delegates to simulate() — a one-thread
- * SMT job is by definition the solo pipeline, and the delegation
- * makes the T=1 column of any sweep bit-identical to a solo sweep.
- * Incompatible with fastForward and the live-value oracle (both are
- * solo-pipeline features); fatal if requested.
- */
-core::RunResult simulateSmt(const workloads::Workload &workload,
-                            const core::CoreParams &params,
-                            const SimOptions &options = {});
 
 /**
  * Simulate @p workload with SMARTS-style statistical sampling

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the core's bookkeeping structures: rename map/free list,
+ * Tests for the core's bookkeeping structures: rename free list,
  * ROB, issue queues, LSQ (memory dependence), and bypass accounting.
  */
 
@@ -41,63 +41,6 @@ TEST(FreeList, ReleaseMakesTagAvailable)
     EXPECT_EQ(fl.allocate(), tag);
 }
 
-TEST(RenameMap, InitialIdentityMapping)
-{
-    RenameMap map(32, 112);
-    for (unsigned i = 0; i < 32; ++i)
-        EXPECT_EQ(map.lookup(i), i);
-    EXPECT_EQ(map.freeTags(), 80u);
-}
-
-TEST(RenameMap, RenameReturnsOldMapping)
-{
-    RenameMap map(32, 40);
-    u32 old_tag = 99;
-    u32 fresh = map.rename(5, old_tag);
-    EXPECT_EQ(old_tag, 5u);
-    EXPECT_EQ(map.lookup(5), fresh);
-    EXPECT_GE(fresh, 32u);
-
-    u32 old2 = 0;
-    u32 fresh2 = map.rename(5, old2);
-    EXPECT_EQ(old2, fresh);
-    EXPECT_EQ(map.lookup(5), fresh2);
-}
-
-TEST(RenameMap, ExhaustionAndRecycling)
-{
-    RenameMap map(2, 4);
-    u32 old_tag;
-    map.rename(0, old_tag);
-    map.rename(1, old_tag);
-    EXPECT_FALSE(map.canRename());
-    map.releaseTag(0);
-    EXPECT_TRUE(map.canRename());
-}
-
-TEST(Rob, FifoOrderAndCapacity)
-{
-    Rob rob(2);
-    emu::DynOp op;
-    op.seq = 1;
-    rob.push(op);
-    op.seq = 2;
-    rob.push(op);
-    EXPECT_TRUE(rob.full());
-    EXPECT_EQ(rob.head().op.seq, 1u);
-    rob.popHead();
-    EXPECT_EQ(rob.head().op.seq, 2u);
-    EXPECT_FALSE(rob.full());
-}
-
-TEST(RobDeathTest, OverflowPanics)
-{
-    Rob rob(1);
-    emu::DynOp op;
-    rob.push(op);
-    EXPECT_DEATH(rob.push(op), "full ROB");
-}
-
 namespace
 {
 
@@ -114,6 +57,29 @@ fetchSeq(Rob &rob, InstSeqNum seq, Cycle cycle)
 }
 
 } // namespace
+
+TEST(Rob, FifoOrderAndCapacity)
+{
+    Rob rob(2, 1);
+    fetchSeq(rob, 1, 0);
+    rob.dispatch(0);
+    fetchSeq(rob, 2, 0);
+    rob.dispatch(0);
+    EXPECT_TRUE(rob.full());
+    EXPECT_EQ(rob.head().op.seq, 1u);
+    rob.popHead();
+    EXPECT_EQ(rob.head().op.seq, 2u);
+    EXPECT_FALSE(rob.full());
+}
+
+TEST(RobDeathTest, OverflowPanics)
+{
+    Rob rob(1, 1);
+    fetchSeq(rob, 1, 0);
+    rob.dispatch(0);
+    fetchSeq(rob, 2, 0);
+    EXPECT_DEATH(rob.dispatch(0), "full ROB");
+}
 
 TEST(Rob, WindowKeepsFifoOrderAcrossWraparound)
 {

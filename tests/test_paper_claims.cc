@@ -178,10 +178,8 @@ TEST(PaperClaims, SmtSharingSustainsThroughput)
     // Two resident threads get the SMT register budget the ablation
     // uses (80 + 32·T int, 96 + 32·T fp); the Long file stays at the
     // single-thread knee K=48 — that is the sharing claim under test.
-    ca.smtThreads = 2;
-    ca.physIntRegs = 80 + 32 * 2;
-    ca.physFpRegs = 96 + 32 * 2;
-    auto ca_smt = sim::simulateSmt(lead, ca, options);
+    ca = ca.scaledForThreads(2);
+    auto ca_smt = sim::simulate(lead, ca, options);
     EXPECT_EQ(ca_smt.smtThreads, 2u);
 
     // Aggregate beats the faster solo thread: sharing one file
@@ -195,11 +193,8 @@ TEST(PaperClaims, SmtSharingSustainsThroughput)
     // Competitive with the conventional baseline of the same tag
     // count under the identical mix (the content-aware file trades
     // two-stage writeback for sharing-friendly storage).
-    auto base = core::CoreParams::baseline();
-    base.smtThreads = 2;
-    base.physIntRegs = 80 + 32 * 2;
-    base.physFpRegs = 96 + 32 * 2;
-    auto base_smt = sim::simulateSmt(lead, base, options);
+    auto base = core::CoreParams::baseline().scaledForThreads(2);
+    auto base_smt = sim::simulate(lead, base, options);
     EXPECT_GT(ca_smt.ipc, 0.93 * base_smt.ipc);
 
     // And the shared Short file does observe cross-thread value
