@@ -111,6 +111,27 @@ TEST(ExperimentRunner, SerialAndParallelIntSuiteIdentical)
     EXPECT_EQ(serial.meanIpc(), parallel.meanIpc());
 }
 
+TEST(ExperimentRunner, SimulateRunsEveryThreadLikeTheRunner)
+{
+    // simulate() itself honours params.smtThreads: a direct call runs
+    // the multithreaded core and equals the runner's result for the
+    // same job.
+    auto params = core::CoreParams::contentAware(20).scaledForThreads(2);
+    auto options = quick(10000);
+    options.smtMix = {"crc"};
+    const auto &workload = workloads::findWorkload("counters");
+
+    core::RunResult direct = simulate(workload, params, options);
+    ExperimentRunner runner(1);
+    core::RunResult queued =
+        runner.run({{workload, params, options, "smt", nullptr}})[0];
+
+    EXPECT_EQ(direct.smtThreads, 2u);
+    ASSERT_EQ(direct.smtThreadInsts.size(), 2u);
+    EXPECT_EQ(direct.workload, "counters+crc");
+    EXPECT_EQ(jsonWithoutWallTime(direct), jsonWithoutWallTime(queued));
+}
+
 TEST(ExperimentRunner, SubmissionOrderPreservedUnderContention)
 {
     // Alternate long and short jobs: short jobs complete first, so a
