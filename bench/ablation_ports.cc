@@ -8,9 +8,8 @@
  * IPC and register file energy for the baseline and the content-aware
  * file across read/write port counts.
  *
- * All seven configurations run as one grouped batch: each workload's
- * trace is decoded once and stepped through every configuration in
- * lockstep.
+ * All seven configurations run as one batch on the worker pool; the
+ * shared trace cache emulates each workload once.
  */
 
 #include "bench_util.hh"
@@ -22,6 +21,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("ablation_ports", argc, argv);
+    args.config.rejectUnreadKeys();
     bench::printHeader(
         "Port reduction x organization (INT suite)",
         "port reduction is orthogonal; extra savings on the CA file "

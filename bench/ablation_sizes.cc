@@ -10,9 +10,8 @@
  *  - issue-stall threshold (pseudo-deadlock avoidance) and the extra
  *    bypass level.
  *
- * All variants run as one grouped batch per suite: each workload's
- * trace is decoded once and stepped through every variant in
- * lockstep.
+ * All variants run as one batch per suite on the worker pool; the
+ * shared trace cache emulates each workload once.
  */
 
 #include "bench_util.hh"
@@ -23,6 +22,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("ablation_sizes", argc, argv);
+    args.config.rejectUnreadKeys();
     bench::printHeader(
         "Ablations: sub-file sizing and design choices (d+n=20)",
         "paper picks M=8, K=48; address-only Short allocation; "

@@ -106,6 +106,7 @@ main(int argc, char **argv)
         fatal("mix=: need at least one workload name");
     for (const std::string &name : mix)
         workloads::findWorkload(name); // fatal on unknown names
+    args.config.rejectUnreadKeys();
 
     // Thread 0 runs mix[0]; simulate() assigns thread t > 0 from
     // smtMix[(t-1) % len], so rotating the mix by one gives thread t

@@ -13,20 +13,13 @@
  *   trace_cache=0     disable the shared trace cache (default on;
  *                     results are bit-identical either way)
  *   trace_cache_mb=N  cache byte budget in MiB (default 512)
- *   lockstep=0        disable config-parallel lockstep replay
- *                     (default on; results are bit-identical either
- *                     way — lockstep=0 is for A/B wall-time runs)
- *   lockstep_group=N  cap lockstep groups at N pipeline lanes
- *                     (default 0 = unbounded)
  *   fast_path=0       disable the exact idle-cycle skip (default on;
  *                     results are bit-identical either way —
  *                     fast_path=0 is for A/B wall-time runs)
  *   sampling_period=N SMARTS-style statistical sampling: instructions
- *                     per period (default 0 = full detail). Implies
- *                     lockstep=0 (sampled lanes alternate functional
- *                     and detailed phases, so there is no shared
- *                     front end). Sampled results are estimates, not
- *                     bit-identical to full runs.
+ *                     per period (default 0 = full detail). Sampled
+ *                     results are estimates, not bit-identical to
+ *                     full runs.
  *   sampling_warmup=N   detailed warm-up instructions per period
  *                       (default 2000)
  *   sampling_measure=N  measured instructions per period
@@ -54,6 +47,11 @@
  *   result_store=1    as above with the default directory
  *                     "carf_result_store" (result_store=0 disables an
  *                     explicit store_dir=).
+ *
+ * Every key is read once, up front: a harness reads its own keys
+ * right after BenchArgs::parse() and then calls
+ * args.config.rejectUnreadKeys(), so a misspelt or retired key is
+ * fatal before anything runs.
  *
  * Tables printed through printTable() and suite runs executed through
  * BenchArgs::runSuite() are also captured into a machine-readable
@@ -188,6 +186,8 @@ struct BenchArgs
      */
     mutable bool regfileOverrideConsumed = false;
     mutable BenchReport report;
+    /** Where the JSON report goes (out= override). */
+    std::string reportPath;
 
     static BenchArgs
     parse(const char *bench_name, int argc, char **argv)
@@ -200,18 +200,13 @@ struct BenchArgs
         args.jobs = static_cast<unsigned>(args.config.getU64(
             "jobs", sim::ExperimentRunner::hardwareJobs()));
         args.runner = sim::ExperimentRunner(args.jobs ? args.jobs : 1);
+        u64 budget_mb = args.config.getU64(
+            "trace_cache_mb", emu::TraceCache::kDefaultByteBudget >> 20);
         if (args.config.getBool("trace_cache", true)) {
-            u64 budget_mb =
-                args.config.getU64("trace_cache_mb",
-                                   emu::TraceCache::kDefaultByteBudget >>
-                                       20);
             args.traceCache =
                 std::make_shared<emu::TraceCache>(budget_mb << 20);
             args.options.traceCache = args.traceCache.get();
         }
-        args.options.lockstep = args.config.getBool("lockstep", true);
-        args.options.lockstepMaxGroup = static_cast<unsigned>(
-            args.config.getU64("lockstep_group", 0));
         args.options.fastPath = args.config.getBool("fast_path", true);
         args.options.samplingPeriod =
             args.config.getU64("sampling_period", 0);
@@ -219,8 +214,6 @@ struct BenchArgs
             "sampling_warmup", args.options.samplingWarmup);
         args.options.samplingMeasure = args.config.getU64(
             "sampling_measure", args.options.samplingMeasure);
-        if (args.options.samplingPeriod > 0)
-            args.options.lockstep = false;
         args.options.validate();
         std::string store_dir = args.config.getString("store_dir", "");
         if (args.config.getBool("result_store", !store_dir.empty())) {
@@ -244,6 +237,8 @@ struct BenchArgs
         }
         args.report.begin(bench_name, args.runner.jobs(),
                           args.options.maxInsts);
+        args.reportPath = args.config.getString(
+            "out", "BENCH_" + args.report.name() + ".json");
         return args;
     }
 
@@ -325,11 +320,10 @@ struct BenchArgs
 
     /**
      * Run @p suite under every labelled configuration in @p configs
-     * as ONE job batch, so configurations sharing a workload collapse
-     * into lockstep groups (decode once, step every config — see
-     * ExperimentRunner::run). Per-config SuiteRuns come back in
-     * @p configs order, each bit-identical to a lone runSuite() call,
-     * and are recorded into the JSON report under their labels.
+     * as ONE job batch on the shared worker pool. Per-config SuiteRuns
+     * come back in @p configs order, each bit-identical to a lone
+     * runSuite() call, and are recorded into the JSON report under
+     * their labels.
      */
     std::vector<sim::SuiteRun>
     runSuites(const std::vector<workloads::Workload> &suite,
@@ -368,19 +362,11 @@ struct BenchArgs
         return runs;
     }
 
-    /** Where the JSON report goes (out= override). */
-    std::string
-    reportPath() const
-    {
-        return config.getString("out", "BENCH_" + report.name() +
-                                           ".json");
-    }
-
     void
     writeReport() const
     {
-        report.write(reportPath());
-        std::printf("wrote %s\n", reportPath().c_str());
+        report.write(reportPath);
+        std::printf("wrote %s\n", reportPath.c_str());
         // Stderr, so table-equivalence diffs of captured stdout stay
         // clean across cold and warm runs.
         if (resultStore) {

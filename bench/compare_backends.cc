@@ -2,7 +2,7 @@
  * @file
  * Cross-model comparison bench: every register-file backend in the
  * registry (or the regfile= selection) over the shared INT workload
- * suite, in one lockstep-grouped batch. For each model the report
+ * suite, in one batch. For each model the report
  * carries IPC, the per-sub-file access counts, model-level port
  * conflicts, and the Rixner energy/area/access-time numbers — all
  * obtained through the RegFileModel hooks (banks()/energyTerms()),
@@ -24,6 +24,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("compare_backends", argc, argv);
+    args.config.rejectUnreadKeys();
     bench::printHeader(
         "Backend zoo: IPC / access / energy / area / delay per "
         "registered register-file model",

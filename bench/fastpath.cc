@@ -67,6 +67,13 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("fastpath", argc, argv);
+    std::string skip_suite =
+        args.config.getString("skip_suite", "both");
+    double min_speedup = args.config.getDouble("min_speedup", 0.0);
+    u64 period = args.config.getU64("sampling_period", 10000);
+    double max_err = args.config.getDouble("max_ipc_err", 0.0);
+    double min_samp = args.config.getDouble("min_sampling_speedup", 0.0);
+    args.config.rejectUnreadKeys();
     bench::printHeader(
         "Fast-path engine: exact idle-cycle skip + SMARTS sampling",
         "simulator engineering (no paper figure); results must stay "
@@ -79,8 +86,6 @@ main(int argc, char **argv)
     // no store) so the wall-clock numbers are honest single-thread
     // measurements; the shared trace cache keeps trace construction
     // out of both sides.
-    std::string skip_suite =
-        args.config.getString("skip_suite", "both");
     std::vector<workloads::Workload> section1;
     if (skip_suite == "stall" || skip_suite == "both")
         for (const auto &w : workloads::stallSuite())
@@ -146,7 +151,6 @@ main(int argc, char **argv)
     if (stall_n)
         std::printf("stall-suite geomean speedup: %.2fx\n\n",
                     stall_geomean);
-    double min_speedup = args.config.getDouble("min_speedup", 0.0);
     if (min_speedup > 0.0 && stall_geomean < min_speedup)
         fatal("fastpath: stall-suite geomean speedup %.2fx below "
               "required %.2fx",
@@ -155,13 +159,11 @@ main(int argc, char **argv)
     // Section 2: sampled vs full detailed runs. The full runs keep
     // the skip enabled — sampling must beat the *already accelerated*
     // simulator to earn its accuracy loss.
-    u64 period = args.config.getU64("sampling_period", 10000);
     sim::SimOptions full = args.options;
     full.samplingPeriod = 0;
     full.fastPath = true;
     sim::SimOptions sampled = full;
     sampled.samplingPeriod = period;
-    sampled.lockstep = false;
     sampled.validate();
 
     Table s_table(strprintf(
@@ -182,7 +184,7 @@ main(int argc, char **argv)
         double t_full =
             secondsOf([&] { f = sim::simulate(w, params, full); });
         double t_samp = secondsOf(
-            [&] { s = sim::simulateSampled(w, params, sampled); });
+            [&] { s = sim::simulate(w, params, sampled); });
         double err = f.ipc > 0.0 ? std::fabs(s.ipc - f.ipc) / f.ipc
                                  : 0.0;
         err_worst = std::max(err_worst, err);
@@ -213,11 +215,9 @@ main(int argc, char **argv)
     std::printf("sampling: worst IPC error %.2f%%, geomean speedup "
                 "%.2fx\n\n",
                 err_worst * 100.0, samp_geomean);
-    double max_err = args.config.getDouble("max_ipc_err", 0.0);
     if (max_err > 0.0 && err_worst > max_err)
         fatal("fastpath: sampled IPC error %.4f above allowed %.4f",
               err_worst, max_err);
-    double min_samp = args.config.getDouble("min_sampling_speedup", 0.0);
     if (min_samp > 0.0 && samp_geomean < min_samp)
         fatal("fastpath: sampling geomean speedup %.2fx below "
               "required %.2fx",

@@ -19,13 +19,13 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("fig2_similarity", argc, argv);
-    bench::printHeader(
-        "Figure 2: (64-d)-similar live integer values vs d",
-        "d=8: 35% in group 1, REST 35%; d=16: 42% in group 1, REST 13%");
-
     sim::SimOptions options = args.options;
     options.oracleSamplePeriod =
         static_cast<unsigned>(args.config.getU64("sample", 16));
+    args.config.rejectUnreadKeys();
+    bench::printHeader(
+        "Figure 2: (64-d)-similar live integer values vs d",
+        "d=8: 35% in group 1, REST 35%; d=16: 42% in group 1, REST 13%");
 
     // One job per workload with a private oracle; merging in suite
     // order reproduces the serial shared-oracle accumulation.

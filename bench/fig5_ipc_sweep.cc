@@ -8,9 +8,8 @@
  * content-aware organization climbing toward the baseline as d+n
  * grows: ~98.3% INT / ~99.7% FP at d+n=20.
  *
- * All configurations of a suite go in as one grouped batch, so each
- * workload's trace is decoded once and replayed through every
- * configuration in lockstep (lockstep=0 reverts to per-job runs).
+ * All configurations of a suite go in as one batch on the worker
+ * pool; the shared trace cache emulates each workload once.
  */
 
 #include "bench_util.hh"
@@ -21,6 +20,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("fig5_ipc_sweep", argc, argv);
+    args.config.rejectUnreadKeys();
     bench::printHeader(
         "Figure 5: average relative IPC vs d+n (8 short, 48 long)",
         "INT reaches ~98.3% and FP ~99.7% of unlimited at d+n=20; "

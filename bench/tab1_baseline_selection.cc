@@ -5,9 +5,8 @@
  * from the unlimited file (160 regs, 16R/8W) costs almost nothing:
  * 112 registers ~1% IPC, 8 read ports 0.17%, 6 write ports 0.21%.
  *
- * The eleven configurations run as one grouped batch: each workload's
- * trace is decoded once and stepped through every configuration in
- * lockstep.
+ * The eleven configurations run as one batch on the worker pool; the
+ * shared trace cache emulates each workload once.
  */
 
 #include "bench_util.hh"
@@ -19,6 +18,7 @@ main(int argc, char **argv)
 {
     auto args =
         bench::BenchArgs::parse("tab1_baseline_selection", argc, argv);
+    args.config.rejectUnreadKeys();
     bench::printHeader(
         "§4: baseline register file selection (INT suite)",
         "112 regs cost ~1%; 8R costs 0.17%; 6W costs 0.21% vs "

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     options.maxInsts = config.getU64("insts", 500000);
     unsigned d_plus_n =
         static_cast<unsigned>(config.getU64("dplusn", 20));
+    config.rejectUnreadKeys();
 
     const auto &workload = workloads::findWorkload(workload_name);
 

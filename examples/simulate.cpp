@@ -121,8 +121,22 @@ main(int argc, char **argv)
 {
     Config config;
     config.parseArgs(argc, argv);
+    const bool list = config.getBool("list", false);
+    core::CoreParams params = paramsFromConfig(config);
+    sim::SimOptions options;
+    options.maxInsts = config.getU64("insts", 1000000);
+    options.fastForward = config.getU64("ff", 0);
+    options.oracleSamplePeriod =
+        static_cast<unsigned>(config.getU64("oracle", 0));
+    const std::string record = config.getString("record");
+    const std::string replay = config.getString("replay");
+    // Record mode names its workload explicitly; a run defaults to one.
+    const std::string workload_name =
+        config.getString("workload", record.empty() ? "counters" : "");
+    const std::string smt_with = config.getString("smt_with");
+    config.rejectUnreadKeys();
 
-    if (config.getBool("list", false)) {
+    if (list) {
         std::printf("workloads:\n");
         for (const auto &w : workloads::allWorkloads()) {
             std::printf("  %-16s (%s)\n", w.name.c_str(),
@@ -131,47 +145,33 @@ main(int argc, char **argv)
         return 0;
     }
 
-    core::CoreParams params = paramsFromConfig(config);
     std::printf("config: %s\n", sim::describeConfig(params).c_str());
 
-    sim::SimOptions options;
-    options.maxInsts = config.getU64("insts", 1000000);
-    options.fastForward = config.getU64("ff", 0);
-    options.oracleSamplePeriod =
-        static_cast<unsigned>(config.getU64("oracle", 0));
-
     // Record mode: emulate and write a trace file, no timing.
-    if (config.has("record")) {
-        const auto &workload =
-            workloads::findWorkload(config.getString("workload"));
+    if (!record.empty()) {
+        const auto &workload = workloads::findWorkload(workload_name);
         auto source = workloads::makeTrace(workload, options.maxInsts);
-        u64 written = emu::TraceWriter::record(
-            *source, config.getString("record"));
+        u64 written = emu::TraceWriter::record(*source, record);
         std::printf("recorded %llu instructions of %s to %s\n",
                     (unsigned long long)written,
-                    workload.name.c_str(),
-                    config.getString("record").c_str());
+                    workload.name.c_str(), record.c_str());
         return 0;
     }
 
     // Replay mode: time a previously recorded trace.
-    if (config.has("replay")) {
-        emu::TraceReader reader(config.getString("replay"), "",
-                                options.maxInsts);
+    if (!replay.empty()) {
+        emu::TraceReader reader(replay, "", options.maxInsts);
         core::Pipeline pipeline(params);
         auto result = pipeline.run(reader);
         printResult(result, params);
         return 0;
     }
 
-    const auto &workload =
-        workloads::findWorkload(config.getString("workload",
-                                                 "counters"));
+    const auto &workload = workloads::findWorkload(workload_name);
 
     // SMT mode: co-run a second workload on a shared core.
-    if (config.has("smt_with")) {
-        const auto &other =
-            workloads::findWorkload(config.getString("smt_with"));
+    if (!smt_with.empty()) {
+        const auto &other = workloads::findWorkload(smt_with);
         auto ta = workloads::makeTrace(workload, options.maxInsts);
         auto tb = workloads::makeTrace(other, options.maxInsts);
         core::SmtPipeline smt(params, 2);

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     options.maxInsts = config.getU64("insts", 300000);
     options.oracleSamplePeriod =
         static_cast<unsigned>(config.getU64("sample", 8));
+    config.rejectUnreadKeys();
 
     sim::LiveValueOracle oracle({8, 12, 16, 20});
     auto result = sim::simulate(workloads::findWorkload(name),

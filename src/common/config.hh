@@ -4,13 +4,18 @@
  *
  * Experiment binaries accept "key=value" overrides on the command
  * line; Config centralises parsing and validation so every bench and
- * example shares the same syntax.
+ * example shares the same syntax. Config remembers every key a getter
+ * (or has()) asked for, so a binary can reject keys it never read:
+ * a misspelt or retired key is an error, not a silent default. That
+ * record makes even the const getters writes: read a Config from one
+ * thread at a time.
  */
 
 #ifndef CARF_COMMON_CONFIG_HH
 #define CARF_COMMON_CONFIG_HH
 
 #include <map>
+#include <set>
 #include <string>
 
 #include "common/types.hh"
@@ -52,8 +57,19 @@ class Config
     /** Render "key=value" lines in key order. */
     std::string dump() const;
 
+    /**
+     * fatal() on the first stored key that no getter or has() has
+     * read, naming it and listing the keys that were read. Binaries
+     * call this once, after their last read.
+     */
+    void rejectUnreadKeys() const;
+
   private:
+    /** Look up @p key, recording it as read. */
+    const std::string *find(const std::string &key) const;
+
     std::map<std::string, std::string> values_;
+    mutable std::set<std::string> read_;
 };
 
 } // namespace carf

@@ -846,9 +846,9 @@ Pipeline::fetchThread(Thread &th, Cycle cur, unsigned &budget)
 
     unsigned line_shift = 6; // 64B fetch lines
 
-    // One call consumes at most fetchWidth stream records (each
+    // One call consumes at most fetchWidth stream records: each
     // iteration pulls at most one, and at most fetchWidth iterations
-    // make progress); the lockstep chunk pause relies on this bound.
+    // make progress.
     while (budget > 0 && !th.rob.fetchFull()) {
         // Records are materialized straight into the window slot they
         // keep until commit. A record stashed by an I-miss is still in
@@ -913,15 +913,12 @@ Pipeline::doFetch(Cycle cur)
 void
 Pipeline::warmUp(emu::TraceSource &source, u64 insts)
 {
-    warmUp(serialStream(source), insts);
-}
-
-void
-Pipeline::warmUp(FetchStream &stream, u64 insts)
-{
     WarmupScratch scratch;
-    warmUpRange(stream, insts, scratch);
-    finishWarmUp(scratch);
+    warmUpRange(serialStream(source), insts, scratch);
+    installWarmState(scratch);
+    intRf_->clearAccessCounts();
+    fpRf_->clearAccessCounts();
+    threads_[0].result = RunResult{};
 }
 
 void
@@ -969,15 +966,6 @@ Pipeline::installWarmState(const WarmupScratch &scratch)
             fpRf_->write(tag, scratch.fpVals[r]);
         }
     }
-}
-
-void
-Pipeline::finishWarmUp(const WarmupScratch &scratch)
-{
-    installWarmState(scratch);
-    intRf_->clearAccessCounts();
-    fpRf_->clearAccessCounts();
-    threads_[0].result = RunResult{};
 }
 
 void
@@ -1434,13 +1422,8 @@ Pipeline::finishRun()
 RunResult
 Pipeline::run(emu::TraceSource &source, CycleObserver *observer)
 {
-    return run(serialStream(source), observer);
-}
-
-RunResult
-Pipeline::run(FetchStream &stream, CycleObserver *observer)
-{
-    beginRun(stream.name(), observer);
+    FetchStream &stream = serialStream(source);
+    beginRun(source.name(), observer);
     while (active())
         stepCycle(stream);
     return finishRun();

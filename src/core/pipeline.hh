@@ -33,10 +33,9 @@
  * go in ICOUNT order. With one thread this is the solo core.
  *
  * A one-thread Pipeline is also a resumable lane:
- * beginRun()/stepCycle()/finishRun() expose the cycle loop so the
- * lockstep engine (src/sim/lockstep.cc) can interleave many
- * configurations over one decoded FetchStream, and the sampling
- * engine can alternate functional and detailed phases.
+ * beginRun()/stepCycle()/finishRun() expose the cycle loop so a
+ * sampled run (sim::simulate) can alternate functional and detailed
+ * phases.
  */
 
 #ifndef CARF_CORE_PIPELINE_HH
@@ -96,9 +95,6 @@ class Pipeline
     RunResult run(emu::TraceSource &source,
                   CycleObserver *observer = nullptr);
 
-    /** As above over an externally predicted stream. */
-    RunResult run(FetchStream &stream, CycleObserver *observer = nullptr);
-
     /**
      * Run one trace per hardware thread (core/smt.hh). Each thread's
      * pcs are salted with its id and predicted by one shared
@@ -124,15 +120,12 @@ class Pipeline
      */
     void warmUp(emu::TraceSource &source, u64 insts);
 
-    /** As above over an externally predicted stream. */
-    void warmUp(FetchStream &stream, u64 insts);
-
-    // --- resumable-lane interface (lockstep and sampling engines) ---
+    // --- resumable-lane interface (sampled runs) ---
 
     /**
      * Architectural values accumulated across chunked warm-up calls;
-     * zero-initialized, passed to every warmUpRange() of one warm-up
-     * and installed by finishWarmUp().
+     * zero-initialized, passed to every warmUpRange() of one
+     * functional gap and installed by installWarmState().
      */
     struct WarmupScratch
     {
@@ -151,17 +144,11 @@ class Pipeline
                      WarmupScratch &scratch);
 
     /**
-     * Install the warm-up's architectural values and reset statistics
-     * for the timed window. Call once, after the last warmUpRange().
-     */
-    void finishWarmUp(const WarmupScratch &scratch);
-
-    /**
      * Install the architectural values gathered by warmUpRange()
-     * *without* resetting statistics — the sampling engine's variant
-     * of finishWarmUp(), used between measurement intervals of one
-     * timed window (issue cross-checks every RegFile operand against
-     * the trace, so resumed execution needs current values).
+     * *without* resetting statistics (unlike warmUp()), between
+     * measurement intervals of one timed window: issue cross-checks
+     * every RegFile operand against the trace, so resumed execution
+     * needs current values.
      */
     void installWarmState(const WarmupScratch &scratch);
 

@@ -7,14 +7,8 @@
  * that grid into declarative jobs executed by a worker pool. Results
  * are returned indexed by submission order, so a batch run with N
  * workers is bit-identical to the same batch run serially — the only
- * thing parallelism changes is wall-clock time.
- *
- * Jobs that share a workload and run options additionally collapse
- * into config-parallel lockstep units (SimOptions::lockstep, on by
- * default): the trace is decoded and branch-predicted once and every
- * configuration's pipeline lane steps over the shared window
- * (simulateGroup()). Lockstep replay is bit-identical to solo
- * simulation, so this too only changes wall-clock time.
+ * thing parallelism changes is wall-clock time. Each job is one
+ * simulate() call.
  */
 
 #ifndef CARF_SIM_EXPERIMENT_RUNNER_HH
@@ -96,14 +90,10 @@ class ExperimentRunner
 
     /**
      * Execute @p batch and return one RunResult per job, in
-     * submission order. Jobs with options.lockstep that share a
-     * workload, instruction budget, trace cache, and branch-predictor
-     * geometry run as one lockstep group (capped by
-     * options.lockstepMaxGroup); the pool schedules whole units. With
-     * jobs()==1 (or a single-unit batch) units run inline on the
-     * calling thread with no pool at all. Each result's wallSeconds
-     * covers that job alone (a group's shared front-end time is split
-     * evenly across its members).
+     * submission order. Each job runs as one simulate() call on the
+     * pool; with jobs()==1 (or a single-job batch) jobs run inline on
+     * the calling thread with no pool at all. Each result's
+     * wallSeconds covers that job alone.
      *
      * Jobs with options.resultStore first resolve their content-
      * addressed key against the store: hits fill their slots without

@@ -33,8 +33,8 @@ resultKeyFields(const std::string &workload_name,
     add("workload", workload_name);
 
     // Run options that shape the simulated window. The execution knobs
-    // (traceCache, lockstep, lockstepMaxGroup, resultStore) are
-    // bit-identical by contract and deliberately left out.
+    // (traceCache, resultStore) are bit-identical by contract and
+    // deliberately left out.
     addU("max_insts", options.maxInsts);
     addU("fast_forward", options.fastForward);
     addU("opt_oracle_period", options.oracleSamplePeriod);

@@ -55,7 +55,7 @@ namespace carf::sim
  * Canonical key material for one simulation job: every simulation-
  * relevant field as a (name, value) pair, including @p fingerprint.
  * Deliberately excludes the execution knobs that are bit-identical by
- * contract (trace cache, lockstep grouping, worker count).
+ * contract (trace cache, worker count).
  */
 std::vector<std::pair<std::string, std::string>>
 resultKeyFields(const std::string &workload_name,

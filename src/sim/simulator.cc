@@ -165,91 +165,19 @@ class RunTraces
     std::vector<std::unique_ptr<TimedSource>> timed_;
 };
 
-} // namespace
-
-void
-SimOptions::validate() const
-{
-    if (samplingPeriod == 0)
-        return;
-    if (oracleSamplePeriod > 0) {
-        fatal("SimOptions: statistical sampling is incompatible with "
-              "the live-value oracle (oracleSamplePeriod > 0) — the "
-              "oracle needs every cycle of one continuous window");
-    }
-    if (lockstep) {
-        fatal("SimOptions: statistical sampling cannot join lockstep "
-              "groups; set lockstep = false for sampled runs");
-    }
-    if (fastForward > 0) {
-        fatal("SimOptions: fastForward overlaps the sampling engine's "
-              "own functional gaps; use samplingPeriod/samplingWarmup/"
-              "samplingMeasure alone");
-    }
-    if (samplingMeasure == 0)
-        fatal("SimOptions: samplingMeasure must be > 0");
-    if (samplingWarmup + samplingMeasure > samplingPeriod) {
-        fatal("SimOptions: samplingWarmup + samplingMeasure (%llu) "
-              "exceeds samplingPeriod (%llu)",
-              (unsigned long long)(samplingWarmup + samplingMeasure),
-              (unsigned long long)samplingPeriod);
-    }
-}
-
+/**
+ * The sampled run (SimOptions::samplingPeriod > 0) of a one-thread
+ * @p pipeline over @p source: functional gaps alternate with detailed
+ * episodes, and the returned result describes the measured windows.
+ */
 core::RunResult
-simulate(const workloads::Workload &workload,
-         const core::CoreParams &params, const SimOptions &options,
-         LiveValueOracle *oracle)
+runSampled(core::Pipeline &pipeline, emu::TraceSource &source,
+           const std::string &workload_name, const SimOptions &options)
 {
-    options.validate();
-    if (options.samplingPeriod > 0)
-        fatal("simulate: sampled runs go through simulateSampled()");
-    unsigned threads = std::max(1u, params.smtThreads);
-    if (threads > 1 && options.fastForward > 0)
-        fatal("simulate: fast-forward needs a one-thread core, not %u "
-              "threads", threads);
-    if (threads > 1 && options.oracleSamplePeriod > 0)
-        fatal("simulate: the live-value oracle needs a one-thread core, "
-              "not %u threads", threads);
-
-    core::CoreParams run_params = params;
-    run_params.oracleSamplePeriod = options.oracleSamplePeriod;
-    RunTraces traces(workload, threads,
-                     options.fastForward + options.maxInsts, options);
-
-    core::Pipeline pipeline(run_params, threads);
-    pipeline.setFastPath(options.fastPath);
-    core::RunResult result;
-    if (threads == 1) {
-        if (options.fastForward > 0)
-            pipeline.warmUp(*traces.sources[0], options.fastForward);
-        result = pipeline.run(*traces.sources[0], oracle);
-    } else {
-        result = pipeline.run(traces.sources).aggregate();
-    }
-    traces.stampHostTimes(result);
-    return result;
-}
-
-core::RunResult
-simulateSampled(const workloads::Workload &workload,
-                const core::CoreParams &params,
-                const SimOptions &options)
-{
-    options.validate();
-    if (options.samplingPeriod == 0)
-        fatal("simulateSampled: samplingPeriod must be > 0");
-    if (params.smtThreads > 1)
-        fatal("simulateSampled: sampling is a solo-pipeline feature");
-
-    RunTraces traces(workload, 1, options.maxInsts, options);
-
-    core::Pipeline pipeline(params);
-    pipeline.setFastPath(options.fastPath);
-    core::PredictingFetchStream predicted(*traces.sources[0], params);
+    core::PredictingFetchStream predicted(source, pipeline.params());
     WindowedStream window(predicted);
 
-    pipeline.beginRun(workload.name);
+    pipeline.beginRun(workload_name);
 
     u64 gap = options.samplingPeriod - options.samplingWarmup -
               options.samplingMeasure;
@@ -341,6 +269,71 @@ simulateSampled(const workloads::Workload &workload,
                              static_cast<double>(interval_ipc.size()));
     }
 
+    return result;
+}
+
+} // namespace
+
+void
+SimOptions::validate() const
+{
+    if (samplingPeriod == 0)
+        return;
+    if (oracleSamplePeriod > 0) {
+        fatal("SimOptions: statistical sampling is incompatible with "
+              "the live-value oracle (oracleSamplePeriod > 0) — the "
+              "oracle needs every cycle of one continuous window");
+    }
+    if (fastForward > 0) {
+        fatal("SimOptions: fastForward overlaps the sampling engine's "
+              "own functional gaps; use samplingPeriod/samplingWarmup/"
+              "samplingMeasure alone");
+    }
+    if (samplingMeasure == 0)
+        fatal("SimOptions: samplingMeasure must be > 0");
+    if (samplingWarmup + samplingMeasure > samplingPeriod) {
+        fatal("SimOptions: samplingWarmup + samplingMeasure (%llu) "
+              "exceeds samplingPeriod (%llu)",
+              (unsigned long long)(samplingWarmup + samplingMeasure),
+              (unsigned long long)samplingPeriod);
+    }
+}
+
+core::RunResult
+simulate(const workloads::Workload &workload,
+         const core::CoreParams &params, const SimOptions &options,
+         LiveValueOracle *oracle)
+{
+    options.validate();
+    unsigned threads = std::max(1u, params.smtThreads);
+    if (threads > 1 && options.fastForward > 0)
+        fatal("simulate: fast-forward needs a one-thread core, not %u "
+              "threads", threads);
+    if (threads > 1 && options.oracleSamplePeriod > 0)
+        fatal("simulate: the live-value oracle needs a one-thread core, "
+              "not %u threads", threads);
+    if (threads > 1 && options.samplingPeriod > 0)
+        fatal("simulate: statistical sampling needs a one-thread core, "
+              "not %u threads", threads);
+
+    core::CoreParams run_params = params;
+    run_params.oracleSamplePeriod = options.oracleSamplePeriod;
+    RunTraces traces(workload, threads,
+                     options.fastForward + options.maxInsts, options);
+
+    core::Pipeline pipeline(run_params, threads);
+    pipeline.setFastPath(options.fastPath);
+    core::RunResult result;
+    if (options.samplingPeriod > 0) {
+        result = runSampled(pipeline, *traces.sources[0], workload.name,
+                            options);
+    } else if (threads == 1) {
+        if (options.fastForward > 0)
+            pipeline.warmUp(*traces.sources[0], options.fastForward);
+        result = pipeline.run(*traces.sources[0], oracle);
+    } else {
+        result = pipeline.run(traces.sources).aggregate();
+    }
     traces.stampHostTimes(result);
     return result;
 }

@@ -39,15 +39,6 @@ struct SimOptions
      */
     emu::TraceCache *traceCache = nullptr;
     /**
-     * Allow ExperimentRunner to batch this job with others sharing
-     * its workload and run options into one lockstep group (see
-     * simulateGroup()). Results are bit-identical either way; off is
-     * for A/B timing comparisons.
-     */
-    bool lockstep = true;
-    /** Lockstep lanes per group; 0 means unbounded. */
-    unsigned lockstepMaxGroup = 0;
-    /**
      * Optional content-addressed result cache (sim/result_store.hh).
      * ExperimentRunner::run() resolves each job's key against it
      * before simulating: a hit fills the result slot with the stored
@@ -83,8 +74,8 @@ struct SimOptions
      * then samplingMeasure measured instructions. The reported
      * cycles/IPC/cycle buckets cover the measured windows only;
      * samplingIpcCi95 carries the 95% confidence half-width over
-     * per-interval IPCs. Solo-pipeline only; requires lockstep=false
-     * and excludes the oracle and fastForward (validate()).
+     * per-interval IPCs. One-thread core only; excludes the oracle
+     * and fastForward (validate()).
      */
     u64 samplingPeriod = 0;
     /** Detailed warm-up instructions at the head of each episode. */
@@ -94,8 +85,8 @@ struct SimOptions
 
     /**
      * Fatal on incompatible option combinations (sampling with the
-     * oracle, lockstep, fast-forward, or a malformed interval shape).
-     * Every simulate entry point calls this first.
+     * oracle, fast-forward, or a malformed interval shape). simulate()
+     * calls this first.
      */
     void validate() const;
 };
@@ -108,21 +99,8 @@ struct SimOptions
  * run returns the aggregate RunResult (SmtResult::aggregate(): summed
  * per-thread counters plus the smt* fields).
  *
- * Fast-forward and the live-value oracle need a one-thread core;
- * fatal if requested with smtThreads > 1.
- *
- * @param oracle optional live-value oracle (requires
- *        options.oracleSamplePeriod > 0 to receive samples)
- */
-core::RunResult simulate(const workloads::Workload &workload,
-                         const core::CoreParams &params,
-                         const SimOptions &options = {},
-                         LiveValueOracle *oracle = nullptr);
-
-/**
- * Simulate @p workload with SMARTS-style statistical sampling
- * (options.samplingPeriod > 0 required; see SimOptions). Returns a
- * RunResult whose cycles, committedInsts, ipc, and cycleAccounting
+ * With options.samplingPeriod > 0 the run is SMARTS-style sampled
+ * (see SimOptions): cycles, committedInsts, ipc, and cycleAccounting
  * describe the measured windows only (the buckets still sum exactly
  * to cycles); the sampling* fields record the interval shape, the
  * interval count, the functionally skipped instructions, and the 95%
@@ -131,30 +109,17 @@ core::RunResult simulate(const workloads::Workload &workload,
  * instruction — warm-up and measured — plus the handful of
  * architectural-value installs between episodes; they are reported
  * for orientation, not as calibrated estimates.
- */
-core::RunResult simulateSampled(const workloads::Workload &workload,
-                                const core::CoreParams &params,
-                                const SimOptions &options);
-
-/**
- * Simulate @p workload under every configuration in @p configs in
- * lockstep over one shared trace replay: each record is decoded and
- * branch-predicted once, then consumed by every per-config pipeline
- * lane (src/sim/lockstep.cc). Results are in @p configs order and
- * bit-identical to calling simulate() per configuration — only the
- * host-time fields differ (the shared front-end cost is split evenly
- * across lanes).
  *
- * Falls back to per-config serial simulate() calls when lockstep
- * cannot share the front end: fewer than two configs, an oracle
- * sampling period, mismatched branch-predictor geometry across
- * configs, or a trace cache that declined to materialize the trace
- * (streaming replay cannot be shared).
+ * Fast-forward, sampling and the live-value oracle need a one-thread
+ * core; fatal if requested with smtThreads > 1.
+ *
+ * @param oracle optional live-value oracle (requires
+ *        options.oracleSamplePeriod > 0 to receive samples)
  */
-std::vector<core::RunResult>
-simulateGroup(const workloads::Workload &workload,
-              const std::vector<core::CoreParams> &configs,
-              const SimOptions &options = {});
+core::RunResult simulate(const workloads::Workload &workload,
+                         const core::CoreParams &params,
+                         const SimOptions &options = {},
+                         LiveValueOracle *oracle = nullptr);
 
 } // namespace carf::sim
 

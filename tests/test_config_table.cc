@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_util.hh"
 #include "common/config.hh"
 #include "common/table.hh"
 
@@ -86,6 +87,64 @@ TEST(ConfigDeathTest, BadIntegerIsFatal)
     Config c;
     c.set("n", "abc");
     EXPECT_DEATH((void)c.getU64("n", 0), "not an unsigned integer");
+}
+
+TEST(Config, EveryKeyReadPassesTheUnreadCheck)
+{
+    Config c;
+    for (const char *token : {"s=x", "u=1", "i=-1", "d=0.5", "b=on",
+                              "h=", "unset_default=3"})
+        ASSERT_TRUE(c.parseToken(token));
+    (void)c.getString("s");
+    (void)c.getU64("u", 0);
+    (void)c.getI64("i", 0);
+    (void)c.getDouble("d", 0.0);
+    (void)c.getBool("b", false);
+    EXPECT_TRUE(c.has("h"));
+    EXPECT_EQ(c.getU64("unset_default", 9), 3u);
+    // Reading absent keys for their defaults is not an error either.
+    EXPECT_EQ(c.getU64("absent", 7), 7u);
+    c.rejectUnreadKeys();
+}
+
+TEST(ConfigDeathTest, UnreadKeyIsFatalAndNamed)
+{
+    Config c;
+    ASSERT_TRUE(c.parseToken("insts=1000"));
+    ASSERT_TRUE(c.parseToken("instz=1000"));
+    ASSERT_TRUE(c.parseToken("dplusn=20"));
+    (void)c.getU64("insts", 0);
+    (void)c.getU64("dplusn", 0);
+    (void)c.getBool("list", false);
+    EXPECT_DEATH(c.rejectUnreadKeys(),
+                 "unknown key 'instz' \\(valid keys: dplusn, insts, "
+                 "list\\)");
+}
+
+TEST(Config, BenchHarnessKeysPassTheUnreadCheck)
+{
+    std::vector<std::string> tokens = {
+        "bench", "insts=1000", "jobs=1", "csv=0", "progress=0",
+        "trace_cache=0", "trace_cache_mb=8", "fast_path=1",
+        "sampling_period=0", "sampling_warmup=2000",
+        "sampling_measure=1000", "regfile=baseline", "result_store=0",
+        "store_dir=", "out=report.json"};
+    std::vector<char *> argv;
+    for (std::string &t : tokens)
+        argv.push_back(t.data());
+    auto args = bench::BenchArgs::parse(
+        "config_test", static_cast<int>(argv.size()), argv.data());
+    args.config.rejectUnreadKeys();
+    EXPECT_EQ(args.reportPath, "report.json");
+}
+
+TEST(ConfigDeathTest, MisspeltBenchKeyIsFatal)
+{
+    std::string bench = "bench", insts = "insts=1000", typo = "jbos=2";
+    char *argv[] = {bench.data(), insts.data(), typo.data()};
+    auto args = bench::BenchArgs::parse("config_test", 3, argv);
+    EXPECT_DEATH(args.config.rejectUnreadKeys(),
+                 "unknown key 'jbos' \\(valid keys: .*jobs");
 }
 
 TEST(Table, FormatHelpers)

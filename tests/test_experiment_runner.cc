@@ -81,6 +81,22 @@ jsonWithoutWallTime(const core::RunResult &result)
     return json.substr(0, pos) + "}";
 }
 
+/**
+ * Full deterministic comparison: the reported JSON plus the RunResult
+ * fields that never reach it (issue-stall and branch counters feed
+ * tables only via derived figures, so a bug there would otherwise
+ * hide).
+ */
+void
+expectSameRun(const core::RunResult &a, const core::RunResult &b,
+              const std::string &what)
+{
+    EXPECT_EQ(jsonWithoutWallTime(a), jsonWithoutWallTime(b)) << what;
+    EXPECT_EQ(a.issueStallCycles, b.issueStallCycles) << what;
+    EXPECT_EQ(a.condBranches, b.condBranches) << what;
+    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts) << what;
+}
+
 } // namespace
 
 TEST(ExperimentRunner, HardwareJobsIsAtLeastOne)
@@ -130,6 +146,55 @@ TEST(ExperimentRunner, SimulateRunsEveryThreadLikeTheRunner)
     ASSERT_EQ(direct.smtThreadInsts.size(), 2u);
     EXPECT_EQ(direct.workload, "counters+crc");
     EXPECT_EQ(jsonWithoutWallTime(direct), jsonWithoutWallTime(queued));
+}
+
+TEST(ExperimentRunner, MixedBatchMatchesDirectSimulate)
+{
+    // Plain, fast-forward, sampled and two-thread jobs over two
+    // workloads in one batch, all through one trace cache: every slot
+    // must equal a direct, streaming simulate() call, at one worker
+    // and under a four-worker pool.
+    auto plain = quick(10000);
+    auto fast_forward = plain;
+    fast_forward.fastForward = 5000;
+    auto sampled = quick(20000);
+    sampled.samplingPeriod = 5000;
+    auto smt = plain;
+    smt.smtMix = {"crc"};
+    const auto ca = core::CoreParams::contentAware(20);
+    const auto ca_t2 = ca.scaledForThreads(2);
+
+    std::vector<ExperimentJob> jobs;
+    for (const char *name : {"counters", "hash_table"}) {
+        const auto &w = workloads::findWorkload(name);
+        jobs.push_back({w, core::CoreParams::baseline(), plain, "plain",
+                        nullptr});
+        jobs.push_back({w, ca, plain, "plain", nullptr});
+        jobs.push_back({w, ca, fast_forward, "ff", nullptr});
+        jobs.push_back({w, ca, sampled, "sampled", nullptr});
+        jobs.push_back({w, ca_t2, smt, "smt", nullptr});
+    }
+
+    std::vector<core::RunResult> direct;
+    for (const auto &job : jobs)
+        direct.push_back(simulate(job.workload, job.params, job.options));
+    EXPECT_GT(direct[3].samplingIntervals, 0u);
+    EXPECT_EQ(direct[4].smtThreads, 2u);
+
+    for (unsigned workers : {1u, 4u}) {
+        emu::TraceCache cache;
+        std::vector<ExperimentJob> batch = jobs;
+        for (auto &job : batch)
+            job.options.traceCache = &cache;
+        auto results = ExperimentRunner(workers).run(batch);
+        ASSERT_EQ(results.size(), jobs.size());
+        for (size_t i = 0; i < jobs.size(); ++i)
+            expectSameRun(results[i], direct[i],
+                          strprintf("jobs=%u slot %zu (%s %s)", workers,
+                                    i, jobs[i].workload.name.c_str(),
+                                    jobs[i].tag.c_str()));
+        EXPECT_GT(cache.stats().hits, 0u) << "jobs=" << workers;
+    }
 }
 
 TEST(ExperimentRunner, SubmissionOrderPreservedUnderContention)

@@ -238,11 +238,10 @@ TEST(Sampling, DeterministicAndConserving)
     core::CoreParams params = core::CoreParams::contentAware(20);
     sim::SimOptions options;
     options.maxInsts = 200000;
-    options.lockstep = false;
     options.samplingPeriod = 10000;
 
-    core::RunResult a = sim::simulateSampled(workload, params, options);
-    core::RunResult b = sim::simulateSampled(workload, params, options);
+    core::RunResult a = sim::simulate(workload, params, options);
+    core::RunResult b = sim::simulate(workload, params, options);
     EXPECT_EQ(sim::runResultJsonFull(a, false),
               sim::runResultJsonFull(b, false));
 
@@ -271,10 +270,9 @@ TEST(Sampling, PinnedAccuracyOnIntKernels)
         core::RunResult f = sim::simulate(workload, params, full);
 
         sim::SimOptions sampled = full;
-        sampled.lockstep = false;
         sampled.samplingPeriod = 10000;
         core::RunResult s =
-            sim::simulateSampled(workload, params, sampled);
+            sim::simulate(workload, params, sampled);
         ASSERT_GT(f.ipc, 0.0);
         EXPECT_NEAR(s.ipc, f.ipc, f.ipc * 0.05) << name;
     }
@@ -294,7 +292,6 @@ TEST(Sampling, StoreKeysSeparateSampledFromFullRuns)
         full.maxInsts = 50000;
 
         sim::SimOptions sampled = full;
-        sampled.lockstep = false;
         sampled.samplingPeriod = 10000;
 
         std::string key_full = store.key("w", params, full);
@@ -326,71 +323,33 @@ TEST(SamplingDeathTest, ValidateRejectsIncompatibleOptions)
 
     sim::SimOptions with_oracle;
     with_oracle.samplingPeriod = 10000;
-    with_oracle.lockstep = false;
     with_oracle.oracleSamplePeriod = 100;
     EXPECT_DEATH(with_oracle.validate(), "live-value oracle");
 
-    sim::SimOptions with_lockstep;
-    with_lockstep.samplingPeriod = 10000;
-    with_lockstep.lockstep = true;
-    EXPECT_DEATH(with_lockstep.validate(), "lockstep");
-
     sim::SimOptions with_ff;
     with_ff.samplingPeriod = 10000;
-    with_ff.lockstep = false;
     with_ff.fastForward = 1000;
     EXPECT_DEATH(with_ff.validate(), "fastForward");
 
     sim::SimOptions zero_measure;
     zero_measure.samplingPeriod = 10000;
-    zero_measure.lockstep = false;
     zero_measure.samplingMeasure = 0;
     EXPECT_DEATH(zero_measure.validate(), "samplingMeasure");
 
     sim::SimOptions oversized;
     oversized.samplingPeriod = 1000;
-    oversized.lockstep = false;
     oversized.samplingWarmup = 900;
     oversized.samplingMeasure = 200;
     EXPECT_DEATH(oversized.validate(), "exceeds samplingPeriod");
 
-    // The wrong entry point for a sampled run is rejected, as is
-    // sampling on a multi-threaded core.
+    // Sampling needs a one-thread core.
     sim::SimOptions sampled;
     sampled.maxInsts = 20000;
     sampled.samplingPeriod = 10000;
-    sampled.lockstep = false;
-    EXPECT_DEATH((void)sim::simulate(workload, params, sampled),
-                 "simulateSampled");
     core::CoreParams smt = params;
     smt.smtThreads = 2;
-    EXPECT_DEATH((void)sim::simulateSampled(workload, smt, sampled),
-                 "solo-pipeline");
-    sim::SimOptions unsampled;
-    EXPECT_DEATH((void)sim::simulateSampled(workload, params,
-                                            unsampled),
-                 "samplingPeriod");
-}
-
-TEST(FastPath, LockstepLanesHonourTheToggle)
-{
-    // simulateGroup propagates fastPath to every lane; both settings
-    // must produce the serial results (which the lockstep wall
-    // already pins), so compare the two group runs directly.
-    const auto &workload = workloads::findWorkload("mem_chase");
-    std::vector<core::CoreParams> configs = {
-        core::CoreParams::contentAware(20),
-        core::CoreParams::baseline()};
-    sim::SimOptions on;
-    on.maxInsts = 20000;
-    sim::SimOptions off = on;
-    off.fastPath = false;
-    auto fast = sim::simulateGroup(workload, configs, on);
-    auto slow = sim::simulateGroup(workload, configs, off);
-    ASSERT_EQ(fast.size(), slow.size());
-    for (size_t i = 0; i < fast.size(); ++i)
-        EXPECT_EQ(sim::runResultJsonFull(fast[i], false),
-                  sim::runResultJsonFull(slow[i], false));
+    EXPECT_DEATH((void)sim::simulate(workload, smt, sampled),
+                 "sampling needs a one-thread core");
 }
 
 } // namespace carf

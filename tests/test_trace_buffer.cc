@@ -439,10 +439,6 @@ TEST(SimulateWithCache, ConcurrentSweepEmulatesEachWorkloadOnce)
 
     auto cached_options = quick();
     cached_options.traceCache = &cache;
-    // Lockstep grouping would collapse the per-workload jobs into one
-    // acquire each; this test is about the cache's build-once contract
-    // under raw contention, so keep every job independent.
-    cached_options.lockstep = false;
     std::vector<sim::ExperimentJob> jobs;
     for (const auto &params : configs) {
         for (const auto &w : mini)

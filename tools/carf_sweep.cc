@@ -5,8 +5,7 @@
  *
  * Reads a file-driven job set (replacing hard-coded bench grids),
  * resolves every job against the store (sim/result_store.hh), runs
- * only the misses — partitioned into config-parallel lockstep groups
- * and sharded across the ExperimentRunner worker pool — and streams
+ * only the misses on the ExperimentRunner worker pool, and streams
  * one NDJSON line per result to stdout as it lands. Completed results
  * are flushed to the store's shards immediately, so a killed run
  * resumes where it left off: re-invoking with the same store_dir
@@ -27,9 +26,8 @@
  *   quiet=1           suppress per-result streaming lines
  *   trace_cache=0     disable the shared trace cache (default on)
  *   trace_cache_mb=N  trace cache budget (default 512)
- *   lockstep=0        disable lockstep grouping (default on)
- *   lockstep_group=N  cap lockstep group size (default unbounded)
  *   fingerprint=1     print the build fingerprint and exit
+ * Any other command-line key is fatal.
  *
  * Sweep-file format: one job template per line; '#' starts a comment.
  * Each line is whitespace-separated key=value tokens; a comma-
@@ -278,15 +276,8 @@ main(int argc, char **argv)
     Config config;
     config.parseArgs(argc, argv);
 
-    if (config.getBool("fingerprint", false)) {
-        std::printf("%s\n", buildFingerprint());
-        return 0;
-    }
-
+    bool fingerprint = config.getBool("fingerprint", false);
     std::string sweep_path = config.getString("sweep", "");
-    if (sweep_path.empty())
-        fatal("carf_sweep: sweep=FILE is required (fingerprint=1 to "
-              "print the build fingerprint)");
     std::string store_dir =
         config.getString("store_dir", "carf_sweep_store");
     std::string out = config.getString("out", "SWEEP_results.ndjson");
@@ -297,13 +288,21 @@ main(int argc, char **argv)
 
     sim::SimOptions defaults;
     defaults.maxInsts = config.getU64("insts", 500000);
-    defaults.lockstep = config.getBool("lockstep", true);
-    defaults.lockstepMaxGroup =
-        static_cast<unsigned>(config.getU64("lockstep_group", 0));
+    bool use_trace_cache = config.getBool("trace_cache", true);
+    u64 budget_mb = config.getU64(
+        "trace_cache_mb", emu::TraceCache::kDefaultByteBudget >> 20);
+    config.rejectUnreadKeys();
+
+    if (fingerprint) {
+        std::printf("%s\n", buildFingerprint());
+        return 0;
+    }
+    if (sweep_path.empty())
+        fatal("carf_sweep: sweep=FILE is required (fingerprint=1 to "
+              "print the build fingerprint)");
+
     std::shared_ptr<emu::TraceCache> trace_cache;
-    if (config.getBool("trace_cache", true)) {
-        u64 budget_mb = config.getU64(
-            "trace_cache_mb", emu::TraceCache::kDefaultByteBudget >> 20);
+    if (use_trace_cache) {
         trace_cache = std::make_shared<emu::TraceCache>(budget_mb << 20);
         defaults.traceCache = trace_cache.get();
     }
